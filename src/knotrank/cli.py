@@ -194,7 +194,9 @@ def main(argv=None) -> int:
     p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     p.add_argument("--timeout", type=float, default=None,
                    help="per-knot deadline in seconds")
-    p.add_argument("--max-generators", type=int, default=None)
+    p.add_argument("--max-generators", type=int, default=None,
+                   help="per-scan generator budget, counted after each "
+                        "crossing is fused in and before elimination")
     p.add_argument("--deformed", action="store_true")
     p.add_argument("--timings", action="store_true",
                    help="include per-knot timings (breaks byte determinism)")

@@ -9,9 +9,13 @@ isomorphism entry (unit multiple of an identity cobordism between equal
 matchings in equal quantum degree) is cancelled by Gaussian elimination,
 so intermediate complexes stay close to homology-sized.
 
-For a knot the diagram is cut open at a basepoint edge.  The end object
-is then a single arc whose endomorphisms form B = A[x]/(x^2 - t), and one
-scan yields everything:
+For a knot the diagram is cut open at a basepoint edge.  The two cut
+halves are boundary points that never close, so from the first scanned
+crossing on the cut edge to the end of the scan every matching carries
+two extra points.  By default the cut is therefore an edge of the last
+crossing of the scan order, where the halves join the boundary only at
+the final step.  The end object is then a single arc whose endomorphisms
+form B = A[x]/(x^2 - t), and one scan yields everything:
 
   * reduced Khovanov homology: set x = 0 (with t = 0); after elimination
     the differential vanishes, so the surviving generators are the ranks;
@@ -40,7 +44,11 @@ from .diagram import Diagram
 
 
 class ResourceLimit(RuntimeError):
-    """The scan exceeded its generator budget or deadline."""
+    """The scan exceeded its generator budget or deadline.
+
+    The budget bounds the complex right after each crossing is fused in,
+    before Gaussian elimination, which is where the scan's size peaks.
+    """
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +143,10 @@ _SHIFTS = {1: ((0, 1), (1, 2)), -1: ((-1, -2), (0, -1))}
 
 class _Scan:
     def __init__(self, d: Diagram, field: CoefficientField, t_free: bool,
-                 cut_edge: int | None, max_generators: int, deadline: float | None):
+                 order: list[int], cut_edge: int | None, max_generators: int,
+                 deadline: float | None):
         self.d = d
+        self.order = order
         self.ring = _Ring(field.char)
         self.t_free = t_free
         self.cut_edge = cut_edge
@@ -170,14 +180,14 @@ class _Scan:
         cycles_of.cache_clear()   # keyed on matchings; keep it per-diagram
         self._new_gen((), 0, 0)
         open_pts: set = set()
-        for ci in scan_order(d):
+        for ci in self.order:
             step = CrossingStep(d, ci, open_pts, self.cut_edge)
             self._fuse(step)
-            self._eliminate()
-            open_pts = step.next_points(open_pts)
             if len(self.gens) > self.max_generators:
                 raise ResourceLimit(
                     f"{len(self.gens)} generators exceed the budget of {self.max_generators}")
+            self._eliminate()
+            open_pts = step.next_points(open_pts)
             if self.deadline is not None and time.monotonic() > self.deadline:
                 raise ResourceLimit("scan deadline exceeded")
         return self
@@ -350,7 +360,7 @@ class _Scan:
             entry = out[s].get(t)
             if entry is None or 0 not in entry:
                 continue
-            # lazy Markowitz: if the fill-in估 cost rose past the next
+            # lazy Markowitz: if the estimated fill-in cost rose past the next
             # candidate, requeue and take the cheaper one first
             cur_cost = (len(inc[t]) - 1) * (len(out[s]) - 1)
             if heap and cur_cost > heap[0][0]:
@@ -496,14 +506,26 @@ def _default_budget(max_generators):
     return 400_000 if max_generators is None else max_generators
 
 
-def _scan(d, field, t_free, cut_edge, max_generators=None, deadline=None) -> _Scan:
-    return _Scan(d, field, t_free, cut_edge,
+def _scan(d, field, t_free, *, cut=True, basepoint=None, max_generators=None,
+          deadline=None) -> _Scan:
+    """Scan ``d`` in the order of :func:`scan_order`, cut open at the
+    basepoint edge (a knot) or closed (``cut=False``, a link)."""
+    order = scan_order(d)
+    cut_edge = _pick_basepoint(d, order, basepoint) if cut else None
+    return _Scan(d, field, t_free, order, cut_edge,
                  _default_budget(max_generators), deadline).run()
 
 
-def _pick_basepoint(d: Diagram, basepoint: int | None) -> int:
+def _pick_basepoint(d: Diagram, order: list[int], basepoint: int | None) -> int:
+    """The edge at which a knot scan in ``order`` is cut open.
+
+    The cut halves never close, so they add two boundary points from the
+    first crossing on the cut edge to the end of the scan.  The default is
+    an edge of the order's last crossing, which adds them only at the
+    final step.  An explicit ``basepoint`` must be an edge of ``d``.
+    """
     if basepoint is None:
-        return min(d.successor)
+        return min(d.crossings[order[-1]])
     if basepoint not in d.successor:
         raise ValueError(f"basepoint edge {basepoint} not in diagram")
     return basepoint
@@ -524,17 +546,18 @@ def khovanov_ranks(d: Diagram, field: CoefficientField = QQ, reduced: bool = Tru
             raise ValueError("reduced Khovanov homology requires a knot diagram")
         if not d.crossings:
             return BigradedRanks({(0, 0): 1}, True, field)
-        scan = _scan(d, field, False, _pick_basepoint(d, basepoint),
-                     max_generators, deadline)
+        scan = _scan(d, field, False, basepoint=basepoint,
+                     max_generators=max_generators, deadline=deadline)
         table = Counter()
         for _, h, q in scan.gens.values():
             table[(h, q)] += 1
         return BigradedRanks(dict(table), True, field)
     if d.is_knot and d.crossings:
-        scan = _scan(d, field, False, _pick_basepoint(d, basepoint),
-                     max_generators, deadline)
+        scan = _scan(d, field, False, basepoint=basepoint,
+                     max_generators=max_generators, deadline=deadline)
         return _unreduced_from_cut(scan, field)
-    scan = _scan(d, field, False, None, max_generators, deadline)
+    scan = _scan(d, field, False, cut=False, max_generators=max_generators,
+                 deadline=deadline)
     table = Counter()
     for _, h, q in scan.gens.values():
         table[(h, q)] += 1
@@ -556,8 +579,8 @@ def khovanov_pair(d: Diagram, field: CoefficientField = QQ, *,
     if not d.crossings:
         return (BigradedRanks({(0, 0): 1}, True, field),
                 BigradedRanks({(0, 1): 1, (0, -1): 1}, False, field))
-    scan = _scan(d, field, False, _pick_basepoint(d, basepoint),
-                 max_generators, deadline)
+    scan = _scan(d, field, False, basepoint=basepoint,
+                 max_generators=max_generators, deadline=deadline)
     table = Counter()
     for _, h, q in scan.gens.values():
         table[(h, q)] += 1
@@ -652,8 +675,8 @@ def deformed_module(d: Diagram, field: CoefficientField, reduced: bool = True, *
         raise ValueError("deformed module requires a knot diagram")
     if not d.crossings:
         return DeformedModule(1, (), field)
-    scan = _scan(d, field, True, _pick_basepoint(d, basepoint),
-                 max_generators, deadline)
+    scan = _scan(d, field, True, basepoint=basepoint,
+                 max_generators=max_generators, deadline=deadline)
     # group generators and entries by homological degree
     by_h: dict[int, list] = {}
     for gid, (_, h, q) in scan.gens.items():

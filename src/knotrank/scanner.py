@@ -22,8 +22,9 @@ conjectures. The summary's ``violations_<flag>`` counts every knot whose
 flag is false, ribbon or not; error records carry no flags and are counted
 only under ``aborted``.
 
-Per-knot failures (resource budget, timeout, non-knot input) become
-structured records with an ``error`` field and never halt the batch.
+Per-knot failures (resource budget, timeout, non-knot input, a failed
+engine self-check) become structured records with an ``error`` field and
+never halt the batch.
 Reports are byte-identical for identical inputs and options regardless
 of worker count; timings are therefore kept out of the serialized form
 unless explicitly requested.
@@ -41,7 +42,7 @@ from .algebra import parse_field
 from .alexander import alexander_polynomial
 from .arf import arf
 from .diagram import Diagram
-from .khovanov import ResourceLimit, deformed_module, khovanov_pair
+from .khovanov import deformed_module, khovanov_pair
 
 DEFAULT_FIELDS = ("f2", "f3", "f211", "q")
 
@@ -130,7 +131,9 @@ def compute_report(d: Diagram, fields, with_deformed: bool = False,
                     "xo": dm.x_torsion_order(),
                 }
         report.flags = _flags(report)
-    except (ResourceLimit, ValueError, ArithmeticError) as exc:
+    except (RuntimeError, AssertionError, ValueError, ArithmeticError) as exc:
+        # RuntimeError covers ResourceLimit and the deformed module's
+        # free-rank check; AssertionError covers the engine's invariants
         report.error = f"{type(exc).__name__}: {exc}"
     report.time_ms = int(1000 * (time.monotonic() - t0))
     return report

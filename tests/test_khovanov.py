@@ -1,7 +1,9 @@
 import pytest
 
 from cube_oracle import CubeComplex, deformed_factors, kh_table
+from knotrank._tangle import scan_order
 from knotrank.algebra import F2, F3, QQ, CoefficientField
+from knotrank.cobordism import cycles_of
 from knotrank.corpus import load_corpus
 from knotrank.diagram import connected_sum, disjoint_union, mirror, parse_pd
 from knotrank.jones import jones
@@ -114,6 +116,31 @@ def test_basepoint_independence(corpus):
         ranks = {frozenset(khovanov_ranks(d, F3, basepoint=e).ranks.items())
                  for e in (1, 3, d.edge_count)}
         assert len(tables) == 1 and len(ranks) == 1, name
+    # edge 1, every edge of the order's last crossing, and the default cut
+    kinked = parse_pd("[[1,1,2,2]]")
+    for d in (corpus["19nh_000129633"], corpus["symunion24"], kinked):
+        last = d.crossings[scan_order(d)[-1]]
+        pairs = {tuple(frozenset(t.ranks.items())
+                       for t in khovanov_pair(d, F3, basepoint=e))
+                 for e in (min(d.successor), *set(last), None)}
+        assert len(pairs) == 1, d.name
+    assert [t.ranks for t in khovanov_pair(kinked, F3)] == \
+        [{(0, 0): 1}, {(0, 1): 1, (0, -1): 1}]
+    with pytest.raises(ValueError):
+        khovanov_pair(kinked, F3, basepoint=3)
+
+
+def test_default_cut_work(corpus):
+    # the default cut at the last crossing of the order needs at most a
+    # quarter of the cobordism work of a cut at edge 1 (1156 against 7353
+    # cycles_of calls); each scan clears the cache when it starts
+    d = corpus["18nh_00159590"]
+    calls = []
+    for e in (None, min(d.successor)):
+        khovanov_ranks(d, F2, basepoint=e)
+        info = cycles_of.cache_info()
+        calls.append(info.hits + info.misses)
+    assert 4 * calls[0] <= calls[1], calls
 
 
 def test_connected_sum_multiplicativity(corpus):
@@ -149,6 +176,13 @@ def test_links_unreduced(corpus):
 def test_resource_limit(corpus):
     with pytest.raises(ResourceLimit):
         khovanov_ranks(corpus["18nh_00159590"], F2, max_generators=50)
+
+
+def test_budget_counts_fused_size(corpus):
+    # after elimination the scan never exceeds 254 generators (121 at the
+    # end), but fusing in a crossing reaches 645 before elimination
+    with pytest.raises(ResourceLimit):
+        khovanov_ranks(corpus["18nh_00159590"], F2, max_generators=300)
 
 
 # -- the deformation module ---------------------------------------------------
@@ -205,11 +239,11 @@ def test_deformed_rejects_f2(corpus):
 def test_final_differential_squares_to_zero(corpus):
     # the deformed scan keeps a nonzero differential; check d . d = 0 by
     # accumulating all length-2 compositions through the cobordism algebra
-    from knotrank.khovanov import _Scan
+    from knotrank.khovanov import _scan
 
     for name in ("4_1", "6_1"):
         d = corpus[name]
-        scan = _Scan(d, F3, True, 1, 10 ** 6, None).run()
+        scan = _scan(d, F3, True)
         square: dict = {}
         for s, row in scan.out.items():
             for mid, e1 in row.items():

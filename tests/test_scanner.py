@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from knotrank import scanner
 from knotrank.corpus import load_corpus
 from knotrank.scanner import (FLAG_NAMES, compute_report, parse_report_jsonl,
                               render_csv, render_jsonl, scan)
@@ -102,6 +103,25 @@ def test_resource_abort_recorded(corpus):
                    fields=("f2",), max_generators=40)
     assert reports[0].error is not None and "ResourceLimit" in reports[0].error
     assert reports[1].error is None   # batch continues
+
+
+@pytest.mark.parametrize("exc", (RuntimeError("deformed free rank 2 != 1"),
+                                 AssertionError("non-monomial entry")),
+                         ids=lambda e: type(e).__name__)
+def test_engine_error_isolated(corpus, monkeypatch, exc):
+    real = scanner.deformed_module
+
+    def failing(d, *args, **kwargs):
+        if d.name == "3_1":
+            raise exc
+        return real(d, *args, **kwargs)
+
+    monkeypatch.setattr(scanner, "deformed_module", failing)
+    reports = scan([corpus["3_1"], corpus["6_1"]], fields=("f3",),
+                   with_deformed=True)
+    assert reports[0].error == f"{type(exc).__name__}: {exc}"
+    assert reports[1].error is None
+    assert reports[1].deformed["f3"]["torsion"] == [1, 1, 1, 1]
 
 
 def test_deformed_fields(corpus):
