@@ -26,9 +26,8 @@ from .hfkalg import (BoxCheck, HatRankTable, UVComplex, base_summand,
 from .jones import (JonesPolynomial, det_from_jones, jones, jones_at_i,
                     jones_state_sum, kauffman_bracket)
 from .khovanov import (BigradedRanks, DeformedModule, ResourceLimit,
-                       deformed_module, delta_euler, khovanov_pair,
-                       khovanov_ranks, torsion_parity_counts,
-                       x_torsion_order)
+                       deformed_module, khovanov_pair, khovanov_ranks,
+                       torsion_parity_counts)
 from .scanner import (KnotReport, compute_report, parse_report_jsonl,
                       render_csv, render_jsonl, scan, summarize)
 from .symunion import (SymmetricUnionError, random_diagram,

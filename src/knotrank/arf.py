@@ -19,8 +19,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .algebra import QC_ARF_ONE, QC_ONE, LaurentPolynomial, QuotientClass
-from .alexander import alexander_polynomial, conway_potential, signed_det
+from .algebra import (QC_ARF_ONE, QC_ONE, LaurentPolynomial, QuotientClass,
+                      zeta8_to_iroot2)
+from .alexander import alexander_polynomial, conway_potential
 from .diagram import Diagram
 from .jones import JonesPolynomial, jones
 
@@ -87,19 +88,22 @@ def arf_from_jones_at_i(value: tuple) -> int:
     raise ValueError(f"V(i) = {value} is not +-1; not a knot value")
 
 
-def arf(d: Diagram) -> ArfResult:
-    """All five routes with a consensus value and consistency flag."""
+def arf(d: Diagram, delta: LaurentPolynomial | None = None) -> ArfResult:
+    """All five routes with a consensus value and consistency flag.
+
+    ``delta`` is the Alexander polynomial of ``d`` if the caller has it;
+    otherwise it is computed here."""
     if not d.is_knot:
         raise ValueError("Arf invariant computed for knots only")
-    from .jones import jones_at_i
-
-    delta = alexander_polynomial(d)
+    if delta is None:
+        delta = alexander_polynomial(d)
     v = jones(d)
     routes = {}
     routes["levine"] = arf_from_levine(delta.evaluate(-1))
     routes["alexander_mod"] = arf_from_alexander(delta)
     routes["jones_mod"] = arf_from_jones(v)
-    routes["jones_at_i"] = arf_from_jones_at_i(jones_at_i(d))
+    routes["jones_at_i"] = arf_from_jones_at_i(
+        zeta8_to_iroot2(v.poly.evaluate_zeta8(1)))
     routes["conway_a2"] = conway_potential(delta).a2 % 2
     counts = Counter(routes.values())
     value, _ = counts.most_common(1)[0]

@@ -20,12 +20,11 @@ import json
 import sys
 from pathlib import Path
 
-from .algebra import parse_field
+from .algebra import format_iroot2, parse_field
 from .alexander import alexander_polynomial, conway_potential
 from .arf import arf
 from .diagram import parse_diagram_file, format_diagram_file
-from .jones import det_from_jones, jones, jones_at_i
-from .algebra import format_iroot2
+from .jones import det_from_jones, jones
 from .khovanov import deformed_module, khovanov_ranks
 from .hfkalg import (box_arithmetic_check, delta_euler_hat, hat_ranks,
                      parse_complex)
@@ -76,11 +75,14 @@ def _cmd_kh(args) -> int:
     status = 0
     for d in _load(args.file):
         try:
-            table = khovanov_ranks(d, fld, reduced=not args.unreduced)
+            if args.deformed:
+                dm = deformed_module(d, fld)
+                table = dm.unreduced if args.unreduced else dm.reduced
+            else:
+                table = khovanov_ranks(d, fld, reduced=not args.unreduced)
             line = (f"{d.name}\t{table.total}\t{table.mod(4)}\t{table.mod(8)}"
                     f"\t{json.dumps(table.table_json())}")
             if args.deformed:
-                dm = deformed_module(d, fld)
                 orders = ",".join(str(a) for a, _ in dm.torsion) or "-"
                 line += f"\t{dm.free_rank}\t{orders}\t{dm.x_torsion_order()}"
             print(line)

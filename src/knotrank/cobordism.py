@@ -3,10 +3,10 @@
 Morphisms between crossingless matchings are stored in a reduced normal
 form: a linear combination of the canonical genus-zero cobordisms whose
 components are the cycles of the union of the two matchings, each
-component carrying at most one dot.  The coefficient ring is a field A
-(t = 0, ordinary Khovanov homology) or A[t] with dot^2 = t (the
-deformation whose specialization at t = 1 is Lee homology; t carries
-quantum degree -4 and a dot degree -2).
+component carrying at most one dot.  Coefficients lie in A[t] for a
+field A, with dot^2 = t: t carries quantum degree -4 and a dot degree -2.
+The Khovanov engine keeps t free and specialises at the end: t = 0 gives
+ordinary Khovanov homology, and t = 1 would give Lee homology.
 
 Entries are dicts ``{key: coefficient}`` with ``key = (t_power << 24) | dot_mask``,
 the mask bit i referring to the i-th canonical cycle (cycles ordered by

@@ -17,8 +17,7 @@ diagrams and never mutate their inputs.
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 
@@ -254,9 +253,6 @@ def _trace_structure(crossings):
 
 # ---------------------------------------------------------------------------
 # parsing and files
-
-
-_PD_TOKEN = re.compile(r"\[|\]|,|\d+|U|\s+")
 
 
 def parse_pd(text: str, name: str | None = None) -> Diagram:

@@ -23,6 +23,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from .algebra import field_rank
+
 
 class InvalidComplex(ValueError):
     """The data does not satisfy d^2 = 0 or the grading constraints."""
@@ -196,7 +198,7 @@ def hat_ranks(c: UVComplex) -> HatRankTable:
         mat = [[0] * len(cols) for _ in rows]
         for t, s in pairs:
             mat[ri[t]][cj[s]] ^= 1
-        rank_from[grading] = _f2_rank(mat)
+        rank_from[grading] = field_rank(mat, 2)
     table: dict = {}
     for grading, gens in by_grading.items():
         w, z = grading
@@ -206,20 +208,6 @@ def hat_ranks(c: UVComplex) -> HatRankTable:
         if dim:
             table[grading] = dim
     return HatRankTable(table)
-
-
-def _f2_rank(mat) -> int:
-    rows = [int("".join(str(x) for x in row), 2) if row else 0 for row in mat]
-    rank = 0
-    for _ in range(len(rows)):
-        piv = next((i for i, r in enumerate(rows) if r), None)
-        if piv is None:
-            break
-        pivot = rows.pop(piv)
-        high = pivot.bit_length() - 1
-        rows = [r ^ pivot if r >> high & 1 else r for r in rows]
-        rank += 1
-    return rank
 
 
 def delta_euler_hat(t: HatRankTable) -> int:

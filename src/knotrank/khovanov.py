@@ -3,11 +3,12 @@
 The engine scans the diagram one crossing at a time.  The state is a
 chain complex over the category whose objects are crossingless matchings
 of the open boundary (with quantum shifts) and whose morphisms are
-dotted-cobordism combinations in the normal form of :mod:`.cobordism`.
-Circles created by a new crossing are delooped on the spot, and every
-isomorphism entry (unit multiple of an identity cobordism between equal
-matchings in equal quantum degree) is cancelled by Gaussian elimination,
-so intermediate complexes stay close to homology-sized.
+dotted-cobordism combinations in the normal form of :mod:`.cobordism`,
+with coefficients in A[t] for a field A.  Circles created by a new
+crossing are delooped on the spot, and every isomorphism entry (unit
+multiple of an identity cobordism between equal matchings in equal
+quantum degree) is cancelled by Gaussian elimination, so intermediate
+complexes stay close to homology-sized.
 
 For a knot the diagram is cut open at a basepoint edge.  The two cut
 halves are boundary points that never close, so from the first scanned
@@ -15,18 +16,24 @@ crossing on the cut edge to the end of the scan every matching carries
 two extra points.  By default the cut is therefore an edge of the last
 crossing of the scan order, where the halves join the boundary only at
 the final step.  The end object is then a single arc whose endomorphisms
-form B = A[x]/(x^2 - t), and one scan yields everything:
+form B = A[x]/(x^2 - t).  The scan keeps t free, and each result is read
+from the one final complex:
 
-  * reduced Khovanov homology: set x = 0 (with t = 0); after elimination
-    the differential vanishes, so the surviving generators are the ranks;
-  * unreduced homology: tensor the final complex with B over itself,
-    splitting each generator into quantum degrees q+1 and q-1;
-  * the deformation module: with t kept free, B is the polynomial ring
-    A[X] (X = x, t = X^2), and the final complex is a finite free
-    presentation with monomial entries; Smith reduction reads off the
-    free rank and the X-torsion orders with their gradings.
+  * reduced Khovanov homology: set x = 0 (so t = 0); elimination has
+    cancelled every entry with a unit constant term, so the differential
+    vanishes and the surviving generators are the ranks;
+  * unreduced homology: set t = 0 and tensor the final complex with
+    B = A[x]/(x^2), splitting each generator into quantum degrees q+1 and
+    q-1;
+  * the deformation module: B is the polynomial ring A[X] (X = x,
+    t = X^2), and the final complex is a finite free presentation with
+    monomial entries; Smith reduction reads off the free rank and the
+    X-torsion orders with their gradings.
 
-Links are scanned closed (no cut); only unreduced ranks apply there.
+Setting t = 0 commutes with each elimination step (pivots are units of A,
+and a power of t never feeds a t-free term), so the first two readings
+equal those of a scan over A itself.  Links are scanned closed (no cut);
+only unreduced ranks apply there, read off at t = 0.
 """
 
 from __future__ import annotations
@@ -38,8 +45,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._tangle import ARCS_0, ARCS_1, CrossingStep, merge_matching, scan_order
-from .algebra import QQ, CoefficientField
-from .cobordism import MASK_BITS, Glue, cycles_of, key_of, split_key
+from .algebra import QQ, CoefficientField, field_rank
+from .cobordism import Glue, cycles_of, key_of, split_key
 from .diagram import Diagram
 
 
@@ -85,25 +92,22 @@ class BigradedRanks:
 
 @dataclass(frozen=True)
 class DeformedModule:
-    """H over A[X]: free rank plus X-torsion summands (order, delta)."""
+    """H over A[X]: free rank plus X-torsion summands (order, delta).
+
+    :func:`deformed_module` also fills in the X = 0 reduced and unreduced
+    tables of the same scan."""
 
     free_rank: int
     torsion: tuple  # of (order, delta) pairs, sorted
     field: CoefficientField
+    reduced: BigradedRanks | None = None
+    unreduced: BigradedRanks | None = None
 
     def x_torsion_order(self) -> int:
         return max((a for a, _ in self.torsion), default=0)
 
     def khovanov_rank_at_x0(self) -> int:
         return self.free_rank + 2 * len(self.torsion)
-
-
-def delta_euler(table: BigradedRanks) -> int:
-    return table.delta_euler()
-
-
-def x_torsion_order(m: DeformedModule) -> int:
-    return m.x_torsion_order()
 
 
 def torsion_parity_counts(m: DeformedModule) -> tuple[int, int]:
@@ -142,13 +146,12 @@ _SHIFTS = {1: ((0, 1), (1, 2)), -1: ((-1, -2), (0, -1))}
 
 
 class _Scan:
-    def __init__(self, d: Diagram, field: CoefficientField, t_free: bool,
-                 order: list[int], cut_edge: int | None, max_generators: int,
+    def __init__(self, d: Diagram, field: CoefficientField, order: list[int],
+                 cut_edge: int | None, max_generators: int,
                  deadline: float | None):
         self.d = d
         self.order = order
         self.ring = _Ring(field.char)
-        self.t_free = t_free
         self.cut_edge = cut_edge
         self.max_generators = max_generators
         self.deadline = deadline
@@ -181,6 +184,8 @@ class _Scan:
         self._new_gen((), 0, 0)
         open_pts: set = set()
         for ci in self.order:
+            if self.deadline is not None and time.monotonic() > self.deadline:
+                raise ResourceLimit("scan deadline exceeded")
             step = CrossingStep(d, ci, open_pts, self.cut_edge)
             self._fuse(step)
             if len(self.gens) > self.max_generators:
@@ -188,15 +193,12 @@ class _Scan:
                     f"{len(self.gens)} generators exceed the budget of {self.max_generators}")
             self._eliminate()
             open_pts = step.next_points(open_pts)
-            if self.deadline is not None and time.monotonic() > self.deadline:
-                raise ResourceLimit("scan deadline exceeded")
         return self
 
     # -- one crossing --------------------------------------------------------
 
     def _fuse(self, step: CrossingStep):
         ring = self.ring
-        t_free = self.t_free
         shifts = _SHIFTS[step.sign]
         merged_cache: dict = {}
 
@@ -248,10 +250,7 @@ class _Scan:
                             for key, coeff in entry.items():
                                 tp, mask = split_key(key)
                                 for om, mult, tadd in tmpl.expand(mask, caps):
-                                    tp3 = tp + tadd
-                                    if tp3 and not t_free:
-                                        continue
-                                    k3 = key_of(tp3, om)
+                                    k3 = key_of(tp + tadd, om)
                                     c3 = ring.norm(acc.get(k3, 0) + coeff * mult)
                                     if c3:
                                         acc[k3] = c3
@@ -276,8 +275,6 @@ class _Scan:
                     caps = _capdots(lam0, nc0, lam1, nc1)
                     acc = {}
                     for om, mult, tadd in tmpl.expand(0, caps):
-                        if tadd and not t_free:
-                            continue
                         c3 = ring.norm(sign * mult)
                         if c3:
                             k3 = key_of(tadd, om)
@@ -443,7 +440,6 @@ class _Scan:
             self.compose_cache[(ma, mb, mc)] = tmpl
         glue, m1 = tmpl
         ring = self.ring
-        t_free = self.t_free
         acc: dict = {}
         for k1, c1 in e1.items():
             tp1, mask1 = split_key(k1)
@@ -451,10 +447,7 @@ class _Scan:
                 tp2, mask2 = split_key(k2)
                 dots = mask1 | (mask2 << m1)
                 for om, mult, tadd in glue.expand(dots):
-                    tp3 = tp1 + tp2 + tadd
-                    if tp3 and not t_free:
-                        continue
-                    k3 = key_of(tp3, om)
+                    k3 = key_of(tp1 + tp2 + tadd, om)
                     c3 = ring.norm(acc.get(k3, 0) + c1 * c2 * mult)
                     if c3:
                         acc[k3] = c3
@@ -502,18 +495,16 @@ def _capdots(lam_src, nc_src, lam_tgt, nc_tgt) -> tuple:
 # public computations
 
 
-def _default_budget(max_generators):
-    return 400_000 if max_generators is None else max_generators
-
-
-def _scan(d, field, t_free, *, cut=True, basepoint=None, max_generators=None,
+def _scan(d, field, *, basepoint=None, max_generators=None,
           deadline=None) -> _Scan:
-    """Scan ``d`` in the order of :func:`scan_order`, cut open at the
-    basepoint edge (a knot) or closed (``cut=False``, a link)."""
+    """Scan ``d`` in the order of :func:`scan_order` with t kept free, cut
+    open at the basepoint edge if ``d`` is a knot with crossings and
+    closed otherwise."""
     order = scan_order(d)
-    cut_edge = _pick_basepoint(d, order, basepoint) if cut else None
-    return _Scan(d, field, t_free, order, cut_edge,
-                 _default_budget(max_generators), deadline).run()
+    cut_edge = (_pick_basepoint(d, order, basepoint)
+                if d.is_knot and d.crossings else None)
+    budget = 400_000 if max_generators is None else max_generators
+    return _Scan(d, field, order, cut_edge, budget, deadline).run()
 
 
 def _pick_basepoint(d: Diagram, order: list[int], basepoint: int | None) -> int:
@@ -541,32 +532,16 @@ def khovanov_ranks(d: Diagram, field: CoefficientField = QQ, reduced: bool = Tru
     and positive-crossing diagrams supported in nonnegative homological
     degree.
     """
+    if d.is_knot:
+        red, unred = khovanov_pair(d, field, basepoint=basepoint,
+                                   max_generators=max_generators, deadline=deadline)
+        return red if reduced else unred
     if reduced:
-        if not d.is_knot:
-            raise ValueError("reduced Khovanov homology requires a knot diagram")
-        if not d.crossings:
-            return BigradedRanks({(0, 0): 1}, True, field)
-        scan = _scan(d, field, False, basepoint=basepoint,
-                     max_generators=max_generators, deadline=deadline)
-        table = Counter()
-        for _, h, q in scan.gens.values():
-            table[(h, q)] += 1
-        return BigradedRanks(dict(table), True, field)
-    if d.is_knot and d.crossings:
-        scan = _scan(d, field, False, basepoint=basepoint,
-                     max_generators=max_generators, deadline=deadline)
-        return _unreduced_from_cut(scan, field)
-    scan = _scan(d, field, False, cut=False, max_generators=max_generators,
-                 deadline=deadline)
-    table = Counter()
-    for _, h, q in scan.gens.values():
-        table[(h, q)] += 1
+        raise ValueError("reduced Khovanov homology requires a knot diagram")
+    table = _generator_table(_scan(d, field, max_generators=max_generators,
+                                   deadline=deadline))
     for _ in range(d.extra_components):
-        doubled = Counter()
-        for (h, q), r in table.items():
-            doubled[(h, q + 1)] += r
-            doubled[(h, q - 1)] += r
-        table = doubled
+        table = _with_circle(table)
     return BigradedRanks(dict(table), False, field)
 
 
@@ -576,28 +551,38 @@ def khovanov_pair(d: Diagram, field: CoefficientField = QQ, *,
     """(reduced, unreduced) ranks of a knot from a single scan."""
     if not d.is_knot:
         raise ValueError("khovanov_pair requires a knot diagram")
-    if not d.crossings:
-        return (BigradedRanks({(0, 0): 1}, True, field),
-                BigradedRanks({(0, 1): 1, (0, -1): 1}, False, field))
-    scan = _scan(d, field, False, basepoint=basepoint,
-                 max_generators=max_generators, deadline=deadline)
-    table = Counter()
-    for _, h, q in scan.gens.values():
-        table[(h, q)] += 1
-    return (BigradedRanks(dict(table), True, field),
+    return _knot_tables(_scan(d, field, basepoint=basepoint,
+                              max_generators=max_generators, deadline=deadline),
+                        field)
+
+
+def _generator_table(scan: _Scan) -> Counter:
+    """Generators by bigrading: the homology once no unit entry is left."""
+    return Counter((h, q) for _, h, q in scan.gens.values())
+
+
+def _with_circle(table: Counter) -> Counter:
+    """Tensor a table with an unknotted circle, splitting q into q+1, q-1."""
+    out = Counter()
+    for (h, q), r in table.items():
+        out[(h, q + 1)] += r
+        out[(h, q - 1)] += r
+    return out
+
+
+def _knot_tables(scan: _Scan, field: CoefficientField):
+    """(reduced, unreduced) tables of a knot scan at X = 0."""
+    return (BigradedRanks(dict(_generator_table(scan)), True, field),
             _unreduced_from_cut(scan, field))
 
 
 def _unreduced_from_cut(scan: _Scan, field: CoefficientField) -> BigradedRanks:
     """Tensor the final one-arc complex with B = A[x]/(x^2): each generator
     splits into labels 1 (q+1) and x (q-1), and an entry c*x maps the
-    1-label of its source to the x-label of its target (x^2 = 0 kills the
-    rest).  The induced differential acts within fixed (h -> h+1, q)
-    blocks; its ranks cut the dimensions down to the homology."""
-    dims = Counter()
-    for _, h, q in scan.gens.values():
-        dims[(h, q + 1)] += 1
-        dims[(h, q - 1)] += 1
+    1-label of its source to the x-label of its target (t = 0 and x^2 = 0
+    kill the rest).  The induced differential acts within fixed
+    (h -> h+1, q) blocks; its ranks cut the dimensions down to the
+    homology."""
     blocks: dict = {}
     for s, row in scan.out.items():
         _, hs, qs = scan.gens[s]
@@ -608,7 +593,7 @@ def _unreduced_from_cut(scan: _Scan, field: CoefficientField) -> BigradedRanks:
             _, ht, qt = scan.gens[t]
             assert ht == hs + 1 and qt == qs + 2, "unexpected grading on x-entry"
             blocks.setdefault((hs, qs + 1), []).append((s, t, c))
-    table = Counter(dims)
+    table = _with_circle(_generator_table(scan))
     for (h, q), triples in blocks.items():
         rows = sorted({t for _, t, _ in triples})
         cols = sorted({s for s, _, _ in triples})
@@ -617,40 +602,11 @@ def _unreduced_from_cut(scan: _Scan, field: CoefficientField) -> BigradedRanks:
         mat = [[0] * len(cols) for _ in rows]
         for s, t, c in triples:
             mat[ri[t]][cj[s]] = c
-        r = _field_rank(mat, field.char)
+        r = field_rank(mat, field.char)
         table[(h, q)] -= r
         table[(h + 1, q)] -= r
     out = {k: v for k, v in table.items() if v}
     return BigradedRanks(out, False, field)
-
-
-def _field_rank(mat, p: int) -> int:
-    """Rank of a small dense matrix over F_p (p > 0) or Q (p == 0)."""
-    m = [[Fraction(x) if not p else x % p for x in row] for row in mat]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    row = 0
-    for col in range(cols):
-        piv = None
-        for r in range(row, len(m)):
-            if m[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        inv = pow(m[row][col], -1, p) if p else Fraction(1) / m[row][col]
-        for r in range(row + 1, len(m)):
-            if m[r][col]:
-                f = m[r][col] * inv
-                for cc in range(col, cols):
-                    v = m[r][cc] - f * m[row][cc]
-                    m[r][cc] = v % p if p else v
-        row += 1
-        rank += 1
-        if row == len(m):
-            break
-    return rank
 
 
 # ---------------------------------------------------------------------------
@@ -665,7 +621,9 @@ def deformed_module(d: Diagram, field: CoefficientField, reduced: bool = True, *
     Requires char != 2 (the deformation splitting arguments need 2
     invertible).  The reduced flavour is the module structure on the
     basepointed complex; it is the one whose X = 0 specialization is the
-    reduced Khovanov complex.
+    reduced Khovanov complex.  The result also carries the reduced and
+    unreduced tables of the same scan, as :func:`khovanov_pair` returns
+    them.
     """
     if field.char == 2:
         raise ValueError("the A[X] deformation module requires characteristic != 2")
@@ -673,20 +631,15 @@ def deformed_module(d: Diagram, field: CoefficientField, reduced: bool = True, *
         raise ValueError("only the reduced (basepointed) module is implemented")
     if not d.is_knot:
         raise ValueError("deformed module requires a knot diagram")
-    if not d.crossings:
-        return DeformedModule(1, (), field)
-    scan = _scan(d, field, True, basepoint=basepoint,
-                 max_generators=max_generators, deadline=deadline)
+    scan = _scan(d, field, basepoint=basepoint, max_generators=max_generators,
+                 deadline=deadline)
     # group generators and entries by homological degree
     by_h: dict[int, list] = {}
     for gid, (_, h, q) in scan.gens.items():
         by_h.setdefault(h, []).append(gid)
-    degrees = sorted(by_h)
     ranks: dict[int, int] = {}
     torsion: list = []
-    for h in degrees:
-        sources = by_h.get(h, [])
-        targets = by_h.get(h + 1, [])
+    for h, sources in by_h.items():
         entries = []
         for s in sources:
             for t, entry in scan.out[s].items():
@@ -695,18 +648,16 @@ def deformed_module(d: Diagram, field: CoefficientField, reduced: bool = True, *
                     power = 2 * tp + mask
                     assert mask <= 1 and power >= 1, "non-monomial entry in final complex"
                     entries.append((t, s, c, power))
-        r, factors = _monomial_smith(entries, scan, field)
-        ranks[h] = r
+        ranks[h], factors = _monomial_smith(entries, scan, field)
         torsion.extend(factors)
-    free = 0
-    for h in degrees:
-        free += len(by_h[h]) - ranks.get(h, 0) - ranks.get(h - 1, 0)
-    result = DeformedModule(free, tuple(sorted(torsion)), field)
-    if d.is_knot and result.free_rank != 1:
+    free = sum(len(gids) - ranks[h] - ranks.get(h - 1, 0)
+               for h, gids in by_h.items())
+    if free != 1:
         raise RuntimeError(
-            f"deformed free rank {result.free_rank} != 1 for a knot: grading "
+            f"deformed free rank {free} != 1 for a knot: grading "
             f"convention violation, please report")
-    return result
+    return DeformedModule(free, tuple(sorted(torsion)), field,
+                          *_knot_tables(scan, field))
 
 
 def _monomial_smith(entries, scan, field):

@@ -22,9 +22,11 @@ conjectures. The summary's ``violations_<flag>`` counts every knot whose
 flag is false, ribbon or not; error records carry no flags and are counted
 only under ``aborted``.
 
-Per-knot failures (resource budget, timeout, non-knot input, a failed
-engine self-check) become structured records with an ``error`` field and
-never halt the batch.
+Every reduced table is checked against the determinant: its
+delta-graded Euler characteristic must be +-det (which also gives
+rank >= det and rank = det mod 2).  Per-knot failures (resource budget,
+timeout, non-knot input, a failed engine self-check) become structured
+records with an ``error`` field and never halt the batch.
 Reports are byte-identical for identical inputs and options regardless
 of worker count; timings are therefore kept out of the serialized form
 unless explicitly requested.
@@ -112,28 +114,35 @@ def compute_report(d: Diagram, fields, with_deformed: bool = False,
         delta = alexander_polynomial(d)
         report.signed_det = delta.evaluate(-1)
         report.det = abs(report.signed_det)
-        res = arf(d)
+        res = arf(d, delta)
         report.arf = res.value
         report.arf_routes = dict(res.routes)
         report.arf_consistent = res.consistent
         for f in fields:
             fld = parse_field(f) if isinstance(f, str) else f
-            red, unred = khovanov_pair(d, fld, max_generators=max_generators,
-                                       deadline=deadline)
-            report.reduced[fld.name] = red.total
-            report.unreduced[fld.name] = unred.total
             if with_deformed and fld.char != 2:
                 dm = deformed_module(d, fld, max_generators=max_generators,
                                      deadline=deadline)
+                red, unred = dm.reduced, dm.unreduced
                 report.deformed[fld.name] = {
                     "free": dm.free_rank,
                     "torsion": sorted(a for a, _ in dm.torsion),
                     "xo": dm.x_torsion_order(),
                 }
+            else:
+                red, unred = khovanov_pair(d, fld, max_generators=max_generators,
+                                           deadline=deadline)
+            if abs(red.delta_euler()) != report.det:
+                raise RuntimeError(
+                    f"reduced {fld.name} Euler characteristic "
+                    f"{red.delta_euler()} is not +-det {report.det}")
+            report.reduced[fld.name] = red.total
+            report.unreduced[fld.name] = unred.total
         report.flags = _flags(report)
     except (RuntimeError, AssertionError, ValueError, ArithmeticError) as exc:
-        # RuntimeError covers ResourceLimit and the deformed module's
-        # free-rank check; AssertionError covers the engine's invariants
+        # RuntimeError covers ResourceLimit, the deformed module's
+        # free-rank check and the determinant check; AssertionError covers
+        # the engine's invariants
         report.error = f"{type(exc).__name__}: {exc}"
     report.time_ms = int(1000 * (time.monotonic() - t0))
     return report

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 
-from .diagram import Diagram, InvalidDiagram, _assemble, _records, is_planar, mirror
+from .diagram import Diagram, InvalidDiagram, _assemble, _records, is_planar
 
 
 class SymmetricUnionError(InvalidDiagram):

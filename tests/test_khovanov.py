@@ -7,9 +7,8 @@ from knotrank.cobordism import cycles_of
 from knotrank.corpus import load_corpus
 from knotrank.diagram import connected_sum, disjoint_union, mirror, parse_pd
 from knotrank.jones import jones
-from knotrank.khovanov import (ResourceLimit, deformed_module, delta_euler,
-                               khovanov_pair, khovanov_ranks,
-                               torsion_parity_counts, x_torsion_order)
+from knotrank.khovanov import (ResourceLimit, deformed_module, khovanov_pair,
+                               khovanov_ranks, torsion_parity_counts)
 
 SMALL_KNOTS = ("3_1", "4_1", "5_1", "6_1", "6_2")
 FIELDS = (QQ, F2, F3)
@@ -59,7 +58,7 @@ def test_61_table_matches_printed_values(corpus):
     assert red.ranks == {(2, 4): 1, (1, 2): 1, (0, 0): 2, (-1, -2): 2,
                          (-2, -4): 1, (-3, -6): 1, (-4, -8): 1}
     assert red.total == 9
-    assert abs(delta_euler(red)) == 9
+    assert abs(red.delta_euler()) == 9
 
 
 def test_62_rank_11_all_fields(corpus):
@@ -73,7 +72,7 @@ def test_delta_euler_equals_determinant(corpus):
 
     for name in SMALL_KNOTS:
         t = khovanov_ranks(corpus[name], QQ)
-        assert abs(delta_euler(t)) == det_from_jones(corpus[name]), name
+        assert abs(t.delta_euler()) == det_from_jones(corpus[name]), name
 
 
 def test_euler_characteristic_is_jones(corpus):
@@ -143,6 +142,36 @@ def test_default_cut_work(corpus):
     assert 4 * calls[0] <= calls[1], calls
 
 
+def test_deadline_keeps_finished_scan(corpus, monkeypatch):
+    # a clock that passes the deadline only once every crossing has been
+    # fused in: the finished scan is returned, not thrown away
+    from knotrank import khovanov
+
+    d = corpus["6_2"]
+    expected = khovanov_pair(d, F3)
+    fused = []
+    real_fuse = khovanov._Scan._fuse
+
+    def counting_fuse(self, step):
+        fused.append(step)
+        return real_fuse(self, step)
+
+    class Clock:
+        @staticmethod
+        def monotonic():
+            return 10.0 if len(fused) == len(d.crossings) else 0.0
+
+    monkeypatch.setattr(khovanov._Scan, "_fuse", counting_fuse)
+    monkeypatch.setattr(khovanov, "time", Clock)
+    assert khovanov_pair(d, F3, deadline=1.0) == expected
+    assert len(fused) == len(d.crossings)
+    # a deadline that has already passed stops the scan before any fuse
+    fused.clear()
+    with pytest.raises(ResourceLimit):
+        khovanov_pair(d, F3, deadline=-1.0)
+    assert fused == []
+
+
 def test_connected_sum_multiplicativity(corpus):
     for n1, n2 in (("3_1", "4_1"), ("3_1", "3_1")):
         s = connected_sum(corpus[n1], corpus[n2])
@@ -207,14 +236,14 @@ def test_deformed_x0_consistency(corpus):
 def test_deformed_unknot(corpus):
     dm = deformed_module(corpus["unknot"], F3)
     assert dm.free_rank == 1 and dm.torsion == ()
-    assert x_torsion_order(dm) == 0
+    assert dm.x_torsion_order() == 0
 
 
 def test_deformed_61(corpus):
     dm = deformed_module(corpus["6_1"], F3)
     assert dm.free_rank == 1
     assert [a for a, _ in dm.torsion] == [1, 1, 1, 1]
-    assert x_torsion_order(dm) == 1
+    assert dm.x_torsion_order() == 1
     ke, ko = torsion_parity_counts(dm)
     assert ke + ko == 4
     assert (1 + 2 * ke - 2 * ko) % 8 == 9 % 8
@@ -228,7 +257,15 @@ def test_torsion_parity_requires_order_one():
     bad = DeformedModule(1, ((1, 0), (3, 1)), F3)
     with pytest.raises(ValueError):
         torsion_parity_counts(bad)
-    assert x_torsion_order(bad) == 3
+    assert bad.x_torsion_order() == 3
+
+
+@pytest.mark.parametrize("name", SMALL_KNOTS)
+@pytest.mark.parametrize("field", (F3, QQ), ids=lambda f: f.name)
+def test_deformed_tables_match_pair(corpus, name, field):
+    # the deformed scan's X = 0 tables are the ones khovanov_pair reads
+    dm = deformed_module(corpus[name], field)
+    assert (dm.reduced, dm.unreduced) == khovanov_pair(corpus[name], field)
 
 
 def test_deformed_rejects_f2(corpus):
@@ -243,7 +280,7 @@ def test_final_differential_squares_to_zero(corpus):
 
     for name in ("4_1", "6_1"):
         d = corpus[name]
-        scan = _scan(d, F3, True)
+        scan = _scan(d, F3)
         square: dict = {}
         for s, row in scan.out.items():
             for mid, e1 in row.items():

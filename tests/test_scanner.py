@@ -1,9 +1,11 @@
-import json
+import importlib
+from collections import Counter
 
 import pytest
 
 from knotrank import scanner
 from knotrank.corpus import load_corpus
+from knotrank.khovanov import BigradedRanks
 from knotrank.scanner import (FLAG_NAMES, compute_report, parse_report_jsonl,
                               render_csv, render_jsonl, scan)
 
@@ -122,6 +124,51 @@ def test_engine_error_isolated(corpus, monkeypatch, exc):
     assert reports[0].error == f"{type(exc).__name__}: {exc}"
     assert reports[1].error is None
     assert reports[1].deformed["f3"]["torsion"] == [1, 1, 1, 1]
+
+
+def test_self_check_error_isolated(corpus, monkeypatch):
+    # one extra generator breaks |delta-graded Euler characteristic| = det
+    real = scanner.khovanov_pair
+
+    def padded(d, *args, **kwargs):
+        red, unred = real(d, *args, **kwargs)
+        if d.name == "3_1":
+            ranks = dict(red.ranks)
+            ranks[(0, 0)] = ranks.get((0, 0), 0) + 1
+            red = BigradedRanks(ranks, True, red.field)
+        return red, unred
+
+    monkeypatch.setattr(scanner, "khovanov_pair", padded)
+    reports = scan([corpus["3_1"], corpus["6_1"]], fields=("f3",))
+    assert reports[0].error.startswith(
+        "RuntimeError: reduced f3 Euler characteristic")
+    assert reports[0].flags == {}
+    assert reports[1].error is None
+    assert reports[1].reduced["f3"] == 9
+
+
+def test_each_invariant_computed_once(corpus, monkeypatch):
+    # per knot: one Khovanov scan per field (an odd field's deformed scan
+    # also gives its tables), one Alexander and one Jones polynomial
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, attr, name in (("khovanov", "scan_order", "scan"),
+                               ("scanner", "alexander_polynomial", "alexander"),
+                               ("arf", "alexander_polynomial", "alexander"),
+                               ("arf", "jones", "jones"),
+                               ("jones", "jones", "jones")):
+        module = importlib.import_module(f"knotrank.{module}")
+        monkeypatch.setattr(module, attr, counted(name, getattr(module, attr)))
+    rep = compute_report(corpus["18nh_00159590"], scanner.DEFAULT_FIELDS,
+                         with_deformed=True)
+    assert rep.error is None and sorted(rep.deformed) == ["f211", "f3", "q"]
+    assert calls == {"scan": 4, "alexander": 1, "jones": 1}
 
 
 def test_deformed_fields(corpus):
