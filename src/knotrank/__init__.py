@@ -7,9 +7,8 @@ its X-torsion orders, F2[U,V] chain-complex calculus, symmetric-union
 generators and a batch conjecture scanner.
 """
 
-from .algebra import (F2, F3, F211, QQ, CoefficientField, InvariantFactors,
-                      LaurentPolynomial, QuotientClass, parse_field,
-                      smith_over_poly_ring)
+from .algebra import (F2, F3, F211, QQ, CoefficientField, LaurentPolynomial,
+                      QuotientClass, parse_field)
 from .alexander import (ConwayPotential, alexander_polynomial,
                         conway_potential, signed_det)
 from .arf import (ArfResult, arf, arf_from_alexander, arf_from_jones,
@@ -18,14 +17,14 @@ from .arf import (ArfResult, arf, arf_from_alexander, arf_from_jones,
 from .corpus import corpus_knots, load_corpus
 from .diagram import (Diagram, InvalidDiagram, connected_sum, crossing_change,
                       disjoint_union, is_planar, mirror, oriented_resolution,
-                      parse_diagram_file, parse_pd)
+                      parse_diagram_file, parse_diagram_lines, parse_pd)
 from .hfkalg import (BoxCheck, HatRankTable, UVComplex, base_summand,
                      box_arithmetic_check, complex_a, delta_euler_hat,
                      direct_sum, hat_ranks, parse_complex, serialize_complex,
                      unit_box)
 from .jones import (JonesPolynomial, det_from_jones, jones, jones_at_i,
-                    jones_state_sum, kauffman_bracket)
-from .khovanov import (BigradedRanks, DeformedModule, ResourceLimit,
+                    kauffman_bracket)
+from .khovanov import (BigradedRanks, DeformedModule, KnotScan, ResourceLimit,
                        deformed_module, khovanov_pair, khovanov_ranks,
                        torsion_parity_counts)
 from .scanner import (KnotReport, compute_report, parse_report_jsonl,

@@ -5,81 +5,76 @@ The Wirtinger presentation of the knot group has one generator per arc
 free derivatives of the relations gives the Alexander matrix over
 Z[t, 1/t]; any (n-1)x(n-1) minor determinant is the Alexander polynomial
 up to a unit.  The determinant is computed exactly by fraction-free
-elimination at integer sample points followed by Lagrange interpolation,
-then normalized to the Conway form (symmetric, value 1 at t = 1).
+(Bareiss) elimination on the polynomial matrix itself, then normalized
+to the Conway form (symmetric, value 1 at t = 1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
+from ._unionfind import UnionFind
 from .algebra import LaurentPolynomial
 from .diagram import Diagram
 
 
 def _arcs(d: Diagram) -> dict:
     """Map each edge to its arc representative (edges joined over crossings)."""
-    parent: dict = {}
-
-    def find(x):
-        while parent.setdefault(x, x) != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    arcs = UnionFind()
     for ci in range(len(d.crossings)):
-        o_in, o_out = d.over_pair(ci)
-        ri, ro = find(o_in), find(o_out)
-        if ri != ro:
-            parent[ri] = ro
-    return {e: find(e) for e in d.successor}
+        arcs.union(*d.over_pair(ci))
+    return {e: arcs.find(e) for e in d.successor}
 
 
-def _bareiss_det(m: list[list[int]]) -> int:
-    """Fraction-free determinant of an integer matrix."""
+def _bareiss_det(m: list[list[LaurentPolynomial]]) -> LaurentPolynomial:
+    """Fraction-free (Bareiss) determinant over Z[t]: every division is
+    exact in the ring."""
     n = len(m)
     if n == 0:
-        return 1
+        return LaurentPolynomial.one()
     m = [row[:] for row in m]
     sign = 1
-    prev = 1
+    prev = LaurentPolynomial.one()
     for k in range(n - 1):
-        if m[k][k] == 0:
+        if not m[k][k]:
             for i in range(k + 1, n):
                 if m[i][k]:
                     m[k], m[i] = m[i], m[k]
                     sign = -sign
                     break
             else:
-                return 0
+                return LaurentPolynomial()
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]).exact_div(prev)
+            m[i][k] = LaurentPolynomial()
         prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    return m[n - 1][n - 1] * sign
 
 
-def _fox_rows(d: Diagram, arcs: dict, arc_index: dict, t):
-    """Rows of the Alexander matrix evaluated at the scalar t."""
+_T = LaurentPolynomial({1: 1})
+_ONE_MINUS_T = LaurentPolynomial({0: 1, 1: -1})
+
+
+def _fox_rows(d: Diagram, arcs: dict, arc_index: dict):
+    """Rows of the Alexander matrix, with entries in Z[t]."""
     rows = []
     for ci, (a, b, c, dd) in enumerate(d.crossings):
         o_in, _ = d.over_pair(ci)
-        row = [0] * len(arc_index)
+        row = [LaurentPolynomial()] * len(arc_index)
         O = arc_index[arcs[o_in]]
         A = arc_index[arcs[a]]
         C = arc_index[arcs[c]]
         if d.signs[ci] == 1:
-            row[O] += 1 - t
-            row[A] += t
+            row[O] += _ONE_MINUS_T
+            row[A] += _T
             row[C] += -1
         else:
             # the relation row scaled by t to stay polynomial
-            row[O] += t - 1
+            row[O] -= _ONE_MINUS_T
             row[A] += 1
-            row[C] += -t
+            row[C] -= _T
         rows.append(row)
     return rows
 
@@ -89,38 +84,9 @@ def _minor_det_poly(d: Diagram, drop_col: int) -> LaurentPolynomial:
     reps = sorted(set(arcs.values()))
     arc_index = {r: i for i, r in enumerate(reps)}
     n = len(d.crossings)
-    size = n - 1
-    npoints = size + 2
-    xs = list(range(2, 2 + npoints))
-    ys = []
-    for x in xs:
-        rows = _fox_rows(d, arcs, arc_index, x)
-        minor = [[row[j] for j in range(n) if j != drop_col] for row in rows[:-1]]
-        ys.append(_bareiss_det(minor))
-    # Lagrange interpolation, exact over Q
-    coeffs = [Fraction(0)] * npoints
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            denom *= xi - xj
-            new = [Fraction(0)] * (len(basis) + 1)
-            for k, c in enumerate(basis):
-                new[k] += c * (-xj)
-                new[k + 1] += c
-            basis = new
-        scale = Fraction(yi) / denom
-        for k, c in enumerate(basis):
-            coeffs[k] += c * scale
-    out = {}
-    for k, c in enumerate(coeffs):
-        if c:
-            if c.denominator != 1:
-                raise ValueError("interpolated determinant is not integral")
-            out[k] = c.numerator
-    return LaurentPolynomial(out)
+    rows = _fox_rows(d, arcs, arc_index)
+    return _bareiss_det([[row[j] for j in range(n) if j != drop_col]
+                         for row in rows[:-1]])
 
 
 class DegeneratePresentation(ValueError):

@@ -2,9 +2,8 @@
 
 Everything here is exact: integers, rationals (``fractions.Fraction``),
 prime fields, Laurent polynomials with integer or rational coefficients,
-the 16-element quotient ring F2[t]/(1+t^4), the cyclotomic integers
-Z[zeta_8] used for evaluating link polynomials at fourth roots of unity,
-and Smith normal form over a univariate polynomial ring over a field.
+the 16-element quotient ring F2[t]/(1+t^4), and the cyclotomic integers
+Z[zeta_8] used for evaluating link polynomials at fourth roots of unity.
 Floating point is never used.
 """
 
@@ -12,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 
 # ---------------------------------------------------------------------------
@@ -380,175 +379,3 @@ def format_iroot2(v: tuple) -> str:
         if coeff:
             parts.append(f"{coeff}{'*' + sym if sym else ''}")
     return "+".join(parts).replace("+-", "-") if parts else "0"
-
-
-# ---------------------------------------------------------------------------
-# dense univariate polynomials over a coefficient field (for Smith form)
-
-
-def _poly_trim(p: list) -> tuple:
-    i = len(p)
-    while i > 0 and not p[i - 1]:
-        i -= 1
-    return tuple(p[:i])
-
-
-class PolyRing:
-    """Dense polynomials over a CoefficientField, as coefficient tuples."""
-
-    def __init__(self, field: CoefficientField):
-        self.field = field
-        self.p = field.char
-
-    def norm(self, c):
-        return c % self.p if self.p else (c if isinstance(c, Fraction) else Fraction(c))
-
-    def poly(self, coeffs: Iterable) -> tuple:
-        return _poly_trim([self.norm(c) for c in coeffs])
-
-    def const(self, c) -> tuple:
-        return self.poly([c])
-
-    def x_power(self, k: int, c=1) -> tuple:
-        return self.poly([0] * k + [c])
-
-    def deg(self, a: tuple) -> int:
-        return len(a) - 1  # -1 for the zero polynomial
-
-    def add(self, a: tuple, b: tuple) -> tuple:
-        n = max(len(a), len(b))
-        out = [0] * n
-        for i, c in enumerate(a):
-            out[i] = c
-        for i, c in enumerate(b):
-            out[i] = self.norm(out[i] + c)
-        return _poly_trim(out)
-
-    def neg(self, a: tuple) -> tuple:
-        return tuple(self.norm(-c) for c in a)
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def mul(self, a: tuple, b: tuple) -> tuple:
-        if not a or not b:
-            return ()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, c in enumerate(a):
-            if c:
-                for j, d in enumerate(b):
-                    out[i + j] = self.norm(out[i + j] + c * d)
-        return _poly_trim(out)
-
-    def inv_scalar(self, c):
-        if self.p:
-            return pow(c, -1, self.p)
-        return Fraction(1) / c
-
-    def divmod(self, a: tuple, b: tuple) -> tuple[tuple, tuple]:
-        if not b:
-            raise ZeroDivisionError("polynomial division by zero")
-        a = list(a)
-        q = [0] * max(0, len(a) - len(b) + 1)
-        inv_lead = self.inv_scalar(b[-1])
-        while len(_poly_trim(a)) >= len(b):
-            a = list(_poly_trim(a))
-            shift = len(a) - len(b)
-            factor = self.norm(a[-1] * inv_lead)
-            q[shift] = factor
-            for i, c in enumerate(b):
-                a[shift + i] = self.norm(a[shift + i] - factor * c)
-        return _poly_trim(q), _poly_trim(a)
-
-    def monic(self, a: tuple) -> tuple:
-        if not a:
-            return a
-        inv = self.inv_scalar(a[-1])
-        return tuple(self.norm(c * inv) for c in a)
-
-    def is_unit(self, a: tuple) -> bool:
-        return len(a) == 1
-
-
-@dataclass(frozen=True)
-class InvariantFactors:
-    """Cokernel invariants of a matrix over F[X]: free rank plus a
-    divisibility chain of monic nonconstant torsion factors."""
-
-    free_rank: int
-    torsion_factors: tuple  # tuple of coefficient tuples, each monic, deg >= 1
-
-    def torsion_degrees(self) -> tuple:
-        return tuple(len(f) - 1 for f in self.torsion_factors)
-
-
-def smith_over_poly_ring(matrix, field: CoefficientField) -> InvariantFactors:
-    """Invariant factors of coker(F[X]^cols -> F[X]^rows) for the given matrix.
-
-    ``matrix`` is a list of rows; each entry is a coefficient sequence
-    (low degree first) over the field.  Standard Smith reduction: pivot on
-    the minimal-degree entry, clear its row and column with Euclidean
-    division, and restart whenever a remainder drops the degree.
-    """
-    R = PolyRing(field)
-    m = [[R.poly(e) for e in row] for row in matrix]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    factors = []
-    top = 0
-    while True:
-        pivot = None
-        best = None
-        for i in range(top, nrows):
-            for j in range(top, ncols):
-                if m[i][j]:
-                    d = R.deg(m[i][j])
-                    if best is None or d < best:
-                        best, pivot = d, (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        m[top], m[pi] = m[pi], m[top]
-        for row in m:
-            row[top], row[pj] = row[pj], row[top]
-        # clear column and row; a nonzero remainder becomes the new pivot
-        while True:
-            dirty = False
-            for i in range(top + 1, nrows):
-                if m[i][top]:
-                    q, r = R.divmod(m[i][top], m[top][top])
-                    for j in range(top, ncols):
-                        m[i][j] = R.sub(m[i][j], R.mul(q, m[top][j]))
-                    if r:
-                        m[top], m[i] = m[i], m[top]
-                        dirty = True
-            for j in range(top + 1, ncols):
-                if m[top][j]:
-                    q, r = R.divmod(m[top][j], m[top][top])
-                    for i in range(top, nrows):
-                        m[i][j] = R.sub(m[i][j], R.mul(q, m[i][top]))
-                    if r:
-                        for i in range(top, nrows):
-                            m[i][top], m[i][j] = m[i][j], m[i][top]
-                        dirty = True
-            if not dirty:
-                break
-        # pivot must divide every remaining entry for the divisibility chain
-        offender = None
-        for i in range(top + 1, nrows):
-            for j in range(top + 1, ncols):
-                if m[i][j]:
-                    _, r = R.divmod(m[i][j], m[top][top])
-                    if r:
-                        offender = i
-                        break
-            if offender is not None:
-                break
-        if offender is not None:
-            for j in range(top, ncols):
-                m[top][j] = R.add(m[top][j], m[offender][j])
-            continue
-        factors.append(R.monic(m[top][top]))
-        top += 1
-    torsion = tuple(f for f in factors if not R.is_unit(f))
-    return InvariantFactors(free_rank=nrows - len(factors), torsion_factors=torsion)

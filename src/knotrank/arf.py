@@ -33,6 +33,7 @@ class ArfResult:
     value: int
     routes: dict
     consistent: bool
+    jones: JonesPolynomial      # the Jones polynomial the routes read
 
     def route_vector(self) -> str:
         return ",".join(f"{k}={self.routes[k]}" for k in ROUTE_NAMES)
@@ -107,7 +108,8 @@ def arf(d: Diagram, delta: LaurentPolynomial | None = None) -> ArfResult:
     routes["conway_a2"] = conway_potential(delta).a2 % 2
     counts = Counter(routes.values())
     value, _ = counts.most_common(1)[0]
-    return ArfResult(value=value, routes=routes, consistent=len(counts) == 1)
+    return ArfResult(value=value, routes=routes, consistent=len(counts) == 1,
+                     jones=v)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from pathlib import Path
 from .algebra import format_iroot2, parse_field
 from .alexander import alexander_polynomial, conway_potential
 from .arf import arf
-from .diagram import parse_diagram_file, format_diagram_file
+from .diagram import format_diagram_file, parse_diagram_file, parse_diagram_lines
 from .jones import det_from_jones, jones
 from .khovanov import deformed_module, khovanov_ranks
 from .hfkalg import (box_arithmetic_check, delta_euler_hat, hat_ranks,
@@ -130,7 +130,8 @@ def _cmd_symunion(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    diagrams = _load(args.input)
+    # a line that does not parse becomes an error record, not an abort
+    diagrams = parse_diagram_lines(Path(args.input).read_text())
     fields = [f.strip() for f in args.fields.split(",") if f.strip()]
     reports = scan(diagrams, fields, jobs=args.jobs,
                    with_deformed=args.deformed, timeout=args.timeout,

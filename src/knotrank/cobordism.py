@@ -3,9 +3,9 @@
 Morphisms between crossingless matchings are stored in a reduced normal
 form: a linear combination of the canonical genus-zero cobordisms whose
 components are the cycles of the union of the two matchings, each
-component carrying at most one dot.  Coefficients lie in A[t] for a
-field A, with dot^2 = t: t carries quantum degree -4 and a dot degree -2.
-The Khovanov engine keeps t free and specialises at the end: t = 0 gives
+component carrying at most one dot.  Coefficients lie in Z[t], with
+dot^2 = t: t carries quantum degree -4 and a dot degree -2.  The
+Khovanov engine keeps t free and specialises at the end: t = 0 gives
 ordinary Khovanov homology, and t = 1 would give Lee homology.
 
 Entries are dicts ``{key: coefficient}`` with ``key = (t_power << 24) | dot_mask``,
@@ -21,6 +21,8 @@ back into the normal form with iterated comultiplication.
 from __future__ import annotations
 
 from functools import lru_cache
+
+from ._unionfind import UnionFind
 
 MASK_BITS = 24
 
@@ -159,42 +161,31 @@ class Glue:
     normal form as a list of (out_mask, integer coeff, t-power).
     """
 
-    __slots__ = ("groups", "piece_group", "cache")
+    __slots__ = ("groups", "cache")
 
     def __init__(self, n_pieces: int, contacts, boundary):
         """contacts: iterable of (piece, piece); boundary: list of
         (piece, ('out', cycle_index) | ('cap', cap_id))."""
-        parent = list(range(n_pieces))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        n_contacts = [0] * n_pieces
+        joined = UnionFind()
         edges = list(contacts)
         for u, v in edges:
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
+            joined.union(u, v)
+        group = [joined.find(i) for i in range(n_pieces)]
         counts = {}
         contact_count = {}
-        for i in range(n_pieces):
-            r = find(i)
+        for r in group:
             counts[r] = counts.get(r, 0) + 1
         for u, v in edges:
-            r = find(u)
+            r = group[u]
             contact_count[r] = contact_count.get(r, 0) + 1
         out_cycles = {}
         caps = {}
         for piece, desc in boundary:
-            r = find(piece)
+            r = group[piece]
             if desc[0] == "out":
                 out_cycles.setdefault(r, []).append(desc[1])
             else:
                 caps.setdefault(r, []).append(desc[1])
-        self.piece_group = [find(i) for i in range(n_pieces)]
         groups = []
         for r, npc in counts.items():
             chi = npc - contact_count.get(r, 0)
@@ -206,9 +197,9 @@ class Glue:
                 raise AssertionError(f"bad component: chi={chi} boundary={m_raw}")
             genus = rem // 2
             piecemask = 0
-            members = [i for i in range(n_pieces) if find(i) == r]
-            for i in members:
-                piecemask |= 1 << i
+            for i, gi in enumerate(group):
+                if gi == r:
+                    piecemask |= 1 << i
             groups.append((genus, piecemask, tuple(outs), tuple(cap_ids)))
         self.groups = tuple(groups)
         self.cache = {}

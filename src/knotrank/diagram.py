@@ -20,9 +20,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+from ._unionfind import UnionFind
+
 
 class InvalidDiagram(ValueError):
-    """The PD data does not describe a consistently oriented diagram."""
+    """The PD data does not describe a consistently oriented diagram.
+
+    :func:`parse_diagram_lines` sets ``name`` to the name on the line."""
+
+    name: str | None = None
 
 
 Tuple4 = tuple[int, int, int, int]
@@ -311,17 +317,33 @@ def parse_pd(text: str, name: str | None = None) -> Diagram:
     return Diagram(tuple(tuples), unknots, name)
 
 
-def parse_diagram_file(text: str) -> list[Diagram]:
-    """One record per line: ``name<TAB>pd_code``; lines starting '#' ignored."""
+def parse_diagram_lines(text: str) -> list[Diagram | InvalidDiagram]:
+    """One entry per record line, ``name<TAB>pd_code`` (lines starting '#'
+    ignored): the diagram, or the :class:`InvalidDiagram` its line raised."""
     out = []
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        if "\t" not in line:
-            raise InvalidDiagram(f"line {lineno}: expected 'name<TAB>pd_code'")
-        name, pd = line.split("\t", 1)
-        out.append(parse_pd(pd, name=name.strip()))
+        name, tab, pd = line.partition("\t")
+        name = name.strip()
+        try:
+            if not tab:
+                raise InvalidDiagram(f"line {lineno}: expected 'name<TAB>pd_code'")
+            out.append(parse_pd(pd, name=name))
+        except InvalidDiagram as exc:
+            exc.name = name
+            out.append(exc)
+    return out
+
+
+def parse_diagram_file(text: str) -> list[Diagram]:
+    """The diagrams of :func:`parse_diagram_lines`; the first line that
+    does not parse raises its :class:`InvalidDiagram`."""
+    out = parse_diagram_lines(text)
+    for d in out:
+        if isinstance(d, InvalidDiagram):
+            raise d
     return out
 
 
@@ -426,25 +448,13 @@ def oriented_resolution(d: Diagram, i: int) -> Diagram:
     tup, oin_pos = recs.pop(i)
     a, c = tup[0], tup[2]
     o_in, o_out = tup[oin_pos], tup[4 - oin_pos]
-    # merge under-in with over-out, over-in with under-out
-    parent = {}
-
-    def find(x):
-        while parent.get(x, x) != x:
-            parent[x] = parent.get(parent[x], parent[x])
-            x = parent[x]
-        return x
-
-    circles = 0
-    for x, y in ((a, o_out), (o_in, c)):
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            circles += 1
-        else:
-            parent[max(rx, ry)] = min(rx, ry)
+    # merge under-in with over-out, over-in with under-out; each merged
+    # edge keeps its smallest label
+    edges = UnionFind()
+    circles = sum(not edges.union(x, y) for x, y in ((a, o_out), (o_in, c)))
     out_recs = []
     for tup2, oin2 in recs:
-        out_recs.append((tuple(find(e) for e in tup2), oin2))
+        out_recs.append((tuple(edges.find(e) for e in tup2), oin2))
     if not out_recs and circles == 0:
         # the merged strand survives with no crossings left
         circles = 1
@@ -530,29 +540,20 @@ def is_planar(d: Diagram) -> bool:
         alpha[s2] = s1
 
     # group crossings into connected pieces
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    pieces = UnionFind()
     for slots in occ.values():
-        a, b = find(slots[0] // 4), find(slots[1] // 4)
-        if a != b:
-            parent[max(a, b)] = min(a, b)
+        pieces.union(slots[0] // 4, slots[1] // 4)
 
     faces_per_piece: dict[int, int] = {}
     size_per_piece: dict[int, int] = {}
     for ci in range(n):
-        r = find(ci)
+        r = pieces.find(ci)
         size_per_piece[r] = size_per_piece.get(r, 0) + 1
     visited = set()
     for start in range(4 * n):
         if start in visited:
             continue
-        piece = find(start // 4)
+        piece = pieces.find(start // 4)
         s = start
         while True:
             visited.add(s)

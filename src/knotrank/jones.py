@@ -3,8 +3,7 @@
 The production path contracts the diagram one crossing at a time, keeping
 a linear combination of crossingless matchings of the open boundary (the
 contraction order is chosen by the boundary-minimizing heuristic shared
-with the homology engine).  A brute-force sum over all 2^n Kauffman
-states is retained as an independent oracle for small diagrams.
+with the homology engine).
 
 Values are kept in the variable q = t^(1/2), so that links (whose Jones
 polynomials involve half-integer powers of t) still have integer
@@ -77,45 +76,6 @@ def kauffman_bracket(d: Diagram) -> LaurentPolynomial:
     return value
 
 
-def kauffman_bracket_state_sum(d: Diagram) -> LaurentPolynomial:
-    """Independent oracle: sum over all 2^n Kauffman states."""
-    n = len(d.crossings)
-    if n > 16:
-        raise ValueError("state-sum oracle limited to 16 crossings")
-    total = LaurentPolynomial.zero()
-    for bits in range(1 << n):
-        parent: dict = {}
-
-        def find(x):
-            while parent.setdefault(x, x) != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x, y):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[rx] = ry
-                return 0
-            return 1  # closing a loop
-
-        circles = 0
-        exp = 0
-        for ci, (a, b, c, dd) in enumerate(d.crossings):
-            if bits >> ci & 1:
-                exp -= 1
-                circles += union(a, dd) + union(b, c)
-            else:
-                exp += 1
-                circles += union(a, b) + union(c, dd)
-        # circle count: each union that closes a loop adds one
-        term = LaurentPolynomial.monomial(1, exp)
-        for _ in range(circles + d.extra_components):
-            term = term * _DELTA_A
-        total = total + term
-    return total
-
-
 def _normalize(bracket: LaurentPolynomial, writhe: int) -> LaurentPolynomial:
     """(-A)^(-3w) * bracket / delta, rewritten in q = A^(-2)."""
     signed = bracket.shift(-3 * writhe)
@@ -133,11 +93,6 @@ def _normalize(bracket: LaurentPolynomial, writhe: int) -> LaurentPolynomial:
 def jones(d: Diagram) -> JonesPolynomial:
     """The Jones polynomial of an oriented link diagram."""
     return JonesPolynomial(_normalize(kauffman_bracket(d), d.writhe), d.writhe)
-
-
-def jones_state_sum(d: Diagram) -> JonesPolynomial:
-    """Oracle variant of :func:`jones` (exponential time)."""
-    return JonesPolynomial(_normalize(kauffman_bracket_state_sum(d), d.writhe), d.writhe)
 
 
 def det_from_jones(d: Diagram) -> int:

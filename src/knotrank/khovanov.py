@@ -4,11 +4,20 @@ The engine scans the diagram one crossing at a time.  The state is a
 chain complex over the category whose objects are crossingless matchings
 of the open boundary (with quantum shifts) and whose morphisms are
 dotted-cobordism combinations in the normal form of :mod:`.cobordism`,
-with coefficients in A[t] for a field A.  Circles created by a new
-crossing are delooped on the spot, and every isomorphism entry (unit
-multiple of an identity cobordism between equal matchings in equal
-quantum degree) is cancelled by Gaussian elimination, so intermediate
-complexes stay close to homology-sized.
+with coefficients in Z[t].  Circles created by a new crossing are
+delooped on the spot, and every entry that is +-1 times an identity
+cobordism between equal matchings in equal quantum degree is cancelled
+by Gaussian elimination, so intermediate complexes stay small.  Such a
+pivot is its own inverse, so the scan needs no division and runs over
+the integers; entries with any other integer (2, 3, ...) stay in the
+complex.
+
+Delooping and Gaussian elimination are homotopy equivalences of
+complexes defined over Z[t], and base change to a field A (tensoring
+with F_p or Q) is a functor, so it carries them to homotopy equivalences
+over A[t].  One integral scan therefore serves every field: each result
+is read from its final complex with the entries reduced mod p, or taken
+in Q.
 
 For a knot the diagram is cut open at a basepoint edge.  The two cut
 halves are boundary points that never close, so from the first scanned
@@ -16,24 +25,20 @@ crossing on the cut edge to the end of the scan every matching carries
 two extra points.  By default the cut is therefore an edge of the last
 crossing of the scan order, where the halves join the boundary only at
 the final step.  The end object is then a single arc whose endomorphisms
-form B = A[x]/(x^2 - t).  The scan keeps t free, and each result is read
-from the one final complex:
+form B = Z[x]/(x^2 - t), which is the polynomial ring Z[X] (X = x,
+t = X^2); every entry of the final complex is a monomial c * X^power.
 
-  * reduced Khovanov homology: set x = 0 (so t = 0); elimination has
-    cancelled every entry with a unit constant term, so the differential
-    vanishes and the surviving generators are the ranks;
+  * reduced Khovanov homology: set X = 0; the entries of power 0 form a
+    complex of integer matrices, whose ranks over A give the table;
   * unreduced homology: set t = 0 and tensor the final complex with
-    B = A[x]/(x^2), splitting each generator into quantum degrees q+1 and
-    q-1;
-  * the deformation module: B is the polynomial ring A[X] (X = x,
-    t = X^2), and the final complex is a finite free presentation with
-    monomial entries; Smith reduction reads off the free rank and the
-    X-torsion orders with their gradings.
+    A[x]/(x^2), splitting each generator into quantum degrees q+1 and
+    q-1, and take ranks again;
+  * the deformation module: the final complex is a finite free
+    presentation over A[X]; Smith reduction reads off the free rank and
+    the X-torsion orders with their gradings.
 
-Setting t = 0 commutes with each elimination step (pivots are units of A,
-and a power of t never feeds a t-free term), so the first two readings
-equal those of a scan over A itself.  Links are scanned closed (no cut);
-only unreduced ranks apply there, read off at t = 0.
+Links are scanned closed (no cut); only unreduced ranks apply there,
+read off at t = 0.
 """
 
 from __future__ import annotations
@@ -43,9 +48,10 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from ._tangle import ARCS_0, ARCS_1, CrossingStep, merge_matching, scan_order
-from .algebra import QQ, CoefficientField, field_rank
+from .algebra import QQ, CoefficientField, LaurentPolynomial, field_rank
 from .cobordism import Glue, cycles_of, key_of, split_key
 from .diagram import Diagram
 
@@ -86,6 +92,14 @@ class BigradedRanks:
             acc += r if (q // 2 - h) % 2 == 0 else -r
         return acc
 
+    def q_euler(self) -> LaurentPolynomial:
+        """Sum of (-1)^h * rank * q^q over the table; for a reduced table
+        this is the Jones polynomial in q = t^(1/2)."""
+        acc = Counter()
+        for (h, q), r in self.ranks.items():
+            acc[q] += -r if h % 2 else r
+        return LaurentPolynomial(acc)
+
     def table_json(self) -> dict:
         return {f"{h},{q}": self.ranks[(h, q)] for (h, q) in sorted(self.ranks)}
 
@@ -125,33 +139,15 @@ def torsion_parity_counts(m: DeformedModule) -> tuple[int, int]:
 # the scan
 
 
-class _Ring:
-    __slots__ = ("p",)
-
-    def __init__(self, p: int):
-        self.p = p
-
-    def norm(self, c):
-        return c % self.p if self.p else c
-
-    def inv(self, c):
-        if self.p:
-            return pow(c, -1, self.p)
-        if c == 1 or c == -1:
-            return c
-        return Fraction(1, 1) / c
-
-
 _SHIFTS = {1: ((0, 1), (1, 2)), -1: ((-1, -2), (0, -1))}
+_UNITS = (1, -1)    # the pivots that Gaussian elimination over Z may cancel
 
 
 class _Scan:
-    def __init__(self, d: Diagram, field: CoefficientField, order: list[int],
-                 cut_edge: int | None, max_generators: int,
-                 deadline: float | None):
+    def __init__(self, d: Diagram, order: list[int], cut_edge: int | None,
+                 max_generators: int, deadline: float | None):
         self.d = d
         self.order = order
-        self.ring = _Ring(field.char)
         self.cut_edge = cut_edge
         self.max_generators = max_generators
         self.deadline = deadline
@@ -198,17 +194,11 @@ class _Scan:
     # -- one crossing --------------------------------------------------------
 
     def _fuse(self, step: CrossingStep):
-        ring = self.ring
         shifts = _SHIFTS[step.sign]
-        merged_cache: dict = {}
 
+        @cache
         def merged(match, r):
-            key = (match, r)
-            hit = merged_cache.get(key)
-            if hit is None:
-                hit = merge_matching(match, step, ARCS_0 if r == 0 else ARCS_1)
-                merged_cache[key] = hit
-            return hit
+            return merge_matching(match, step, ARCS_0 if r == 0 else ARCS_1)
 
         old_gens = self.gens
         old_out = self.out
@@ -224,15 +214,9 @@ class _Scan:
                     nq = q + dq + ncirc - 2 * lam.bit_count()
                     gid_map[(gid, r, lam)] = self._new_gen(nm, h + dh, nq)
 
-        ext_cache: dict = {}
-
+        @cache
         def ext_template(m1, m2, r):
-            key = (m1, m2, r)
-            hit = ext_cache.get(key)
-            if hit is None:
-                hit = self._build_ext_template(m1, m2, r, step, merged)
-                ext_cache[key] = hit
-            return hit
+            return self._build_ext_template(m1, m2, r, step, merged)
 
         # extended old entries
         for g1, row in old_out.items():
@@ -251,7 +235,7 @@ class _Scan:
                                 tp, mask = split_key(key)
                                 for om, mult, tadd in tmpl.expand(mask, caps):
                                     k3 = key_of(tp + tadd, om)
-                                    c3 = ring.norm(acc.get(k3, 0) + coeff * mult)
+                                    c3 = acc.get(k3, 0) + coeff * mult
                                     if c3:
                                         acc[k3] = c3
                                     else:
@@ -261,12 +245,9 @@ class _Scan:
         # saddle entries
         saddle_cache: dict = {}
         for gid, (match, h, q) in old_gens.items():
-            key = match
-            hit = saddle_cache.get(key)
-            if hit is None:
-                hit = self._build_saddle_template(match, step, merged)
-                saddle_cache[key] = hit
-            tmpl, nc0, nc1 = hit
+            if match not in saddle_cache:
+                saddle_cache[match] = self._build_saddle_template(match, step, merged)
+            tmpl, nc0, nc1 = saddle_cache[match]
             sign = -1 if h % 2 else 1
             for lam0 in range(1 << nc0):
                 s = gid_map[(gid, 0, lam0)]
@@ -275,14 +256,12 @@ class _Scan:
                     caps = _capdots(lam0, nc0, lam1, nc1)
                     acc = {}
                     for om, mult, tadd in tmpl.expand(0, caps):
-                        c3 = ring.norm(sign * mult)
+                        k3 = key_of(tadd, om)
+                        c3 = acc.get(k3, 0) + sign * mult
                         if c3:
-                            k3 = key_of(tadd, om)
-                            c3 = ring.norm(acc.get(k3, 0) + c3)
-                            if c3:
-                                acc[k3] = c3
-                            else:
-                                acc.pop(k3, None)
+                            acc[k3] = c3
+                        else:
+                            acc.pop(k3, None)
                     self._set_entry(s, t, acc)
         self.compose_cache.clear()
 
@@ -330,32 +309,22 @@ class _Scan:
 
     # -- Gaussian elimination --------------------------------------------------
 
-    def _pivot_candidates(self):
-        gens = self.gens
-        cands = []
-        for s, row in self.out.items():
-            ms, _, qs = gens[s]
-            for t, entry in row.items():
-                if 0 in entry:
-                    mt, _, qt = gens[t]
-                    if ms == mt and qs == qt:
-                        cands.append((s, t))
-        return cands
-
     def _eliminate(self):
-        p = self.ring.p
         gens = self.gens
         out = self.out
         inc = self.inc
         heap = []
-        for s, t in self._pivot_candidates():
-            heapq.heappush(heap, ((len(inc[t]) - 1) * (len(out[s]) - 1), s, t))
+        for s, row in out.items():
+            ms, _, qs = gens[s]
+            for t, entry in row.items():
+                if entry.get(0) in _UNITS and gens[t][0] == ms and gens[t][2] == qs:
+                    heapq.heappush(heap, ((len(inc[t]) - 1) * (len(row) - 1), s, t))
         while heap:
             cost, s, t = heapq.heappop(heap)
             if s not in gens or t not in gens:
                 continue
             entry = out[s].get(t)
-            if entry is None or 0 not in entry:
+            if entry is None or entry.get(0) not in _UNITS:
                 continue
             # lazy Markowitz: if the estimated fill-in cost rose past the next
             # candidate, requeue and take the cheaper one first
@@ -363,8 +332,7 @@ class _Scan:
             if heap and cur_cost > heap[0][0]:
                 heapq.heappush(heap, (cur_cost, s, t))
                 continue
-            c = entry[0]
-            inv_c = self.ring.inv(c)
+            c = entry[0]        # +-1, its own inverse
             m_mid = gens[s][0]
             preds = [(x, e) for x, e in inc[t].items() if x != s]
             succs = [(y, e) for y, e in out[s].items() if y != t]
@@ -392,31 +360,17 @@ class _Scan:
                         cur = {}
                         row_x[y] = cur
                         inc[y][x] = cur
-                    changed_zero = False
-                    if p:
-                        for k, cv in comp.items():
-                            nv = (cur.get(k, 0) - inv_c * cv) % p
-                            if nv:
-                                cur[k] = nv
-                                if k == 0:
-                                    changed_zero = True
-                            else:
-                                cur.pop(k, None)
-                    else:
-                        for k, cv in comp.items():
-                            nv = cur.get(k, 0) - inv_c * cv
-                            if isinstance(nv, Fraction) and nv.denominator == 1:
-                                nv = nv.numerator
-                            if nv:
-                                cur[k] = nv
-                                if k == 0:
-                                    changed_zero = True
-                            else:
-                                cur.pop(k, None)
+                    for k, cv in comp.items():
+                        nv = cur.get(k, 0) - c * cv
+                        if nv:
+                            cur[k] = nv
+                        else:
+                            cur.pop(k, None)
                     if not cur:
                         del row_x[y]
                         del inc[y][x]
-                    elif changed_zero and gx[0] == m_y and gx[2] == gens[y][2]:
+                    elif (0 in comp and cur.get(0) in _UNITS
+                          and gx[0] == m_y and gx[2] == gens[y][2]):
                         heapq.heappush(
                             heap, ((len(inc[y]) - 1) * (len(row_x) - 1), x, y))
 
@@ -439,7 +393,6 @@ class _Scan:
             tmpl = (Glue(m1 + m2, contacts, boundary), m1)
             self.compose_cache[(ma, mb, mc)] = tmpl
         glue, m1 = tmpl
-        ring = self.ring
         acc: dict = {}
         for k1, c1 in e1.items():
             tp1, mask1 = split_key(k1)
@@ -448,7 +401,7 @@ class _Scan:
                 dots = mask1 | (mask2 << m1)
                 for om, mult, tadd in glue.expand(dots):
                     k3 = key_of(tp1 + tp2 + tadd, om)
-                    c3 = ring.norm(acc.get(k3, 0) + c1 * c2 * mult)
+                    c3 = acc.get(k3, 0) + c1 * c2 * mult
                     if c3:
                         acc[k3] = c3
                     else:
@@ -495,16 +448,15 @@ def _capdots(lam_src, nc_src, lam_tgt, nc_tgt) -> tuple:
 # public computations
 
 
-def _scan(d, field, *, basepoint=None, max_generators=None,
-          deadline=None) -> _Scan:
-    """Scan ``d`` in the order of :func:`scan_order` with t kept free, cut
-    open at the basepoint edge if ``d`` is a knot with crossings and
-    closed otherwise."""
+def _scan(d, *, basepoint=None, max_generators=None, deadline=None) -> _Scan:
+    """Scan ``d`` over Z in the order of :func:`scan_order` with t kept
+    free, cut open at the basepoint edge if ``d`` is a knot with crossings
+    and closed otherwise."""
     order = scan_order(d)
     cut_edge = (_pick_basepoint(d, order, basepoint)
                 if d.is_knot and d.crossings else None)
     budget = 400_000 if max_generators is None else max_generators
-    return _Scan(d, field, order, cut_edge, budget, deadline).run()
+    return _Scan(d, order, cut_edge, budget, deadline).run()
 
 
 def _pick_basepoint(d: Diagram, order: list[int], basepoint: int | None) -> int:
@@ -520,6 +472,31 @@ def _pick_basepoint(d: Diagram, order: list[int], basepoint: int | None) -> int:
     if basepoint not in d.successor:
         raise ValueError(f"basepoint edge {basepoint} not in diagram")
     return basepoint
+
+
+class KnotScan:
+    """The integral scan of a knot diagram, run when first read.
+
+    :func:`khovanov_pair` and :func:`deformed_module` take a ``KnotScan``
+    in place of the diagram, so that every field and flavour is read from
+    one scan; the options given here then apply."""
+
+    def __init__(self, d: Diagram, *, basepoint: int | None = None,
+                 max_generators: int | None = None, deadline: float | None = None):
+        self.diagram = d
+        self.name = d.name
+        self._options = dict(basepoint=basepoint, max_generators=max_generators,
+                             deadline=deadline)
+        self._scan = None
+
+    def final_complex(self, what: str) -> _Scan:
+        """The final complex; ``what`` names the caller in the error
+        raised for a diagram that is not a knot."""
+        if not self.diagram.is_knot:
+            raise ValueError(f"{what} requires a knot diagram")
+        if self._scan is None:
+            self._scan = _scan(self.diagram, **self._options)
+        return self._scan
 
 
 def khovanov_ranks(d: Diagram, field: CoefficientField = QQ, reduced: bool = True, *,
@@ -538,83 +515,108 @@ def khovanov_ranks(d: Diagram, field: CoefficientField = QQ, reduced: bool = Tru
         return red if reduced else unred
     if reduced:
         raise ValueError("reduced Khovanov homology requires a knot diagram")
-    table = _generator_table(_scan(d, field, max_generators=max_generators,
-                                   deadline=deadline))
+    scan = _scan(d, max_generators=max_generators, deadline=deadline)
+    table = _homology(_gradings(scan), [(s, t, c) for s, t, c, power
+                                        in _entries(scan) if power == 0], field)
     for _ in range(d.extra_components):
         table = _with_circle(table)
-    return BigradedRanks(dict(table), False, field)
+    return BigradedRanks(table, False, field)
 
 
-def khovanov_pair(d: Diagram, field: CoefficientField = QQ, *,
+def khovanov_pair(d: Diagram | KnotScan, field: CoefficientField = QQ, *,
                   basepoint: int | None = None, max_generators: int | None = None,
                   deadline: float | None = None) -> tuple[BigradedRanks, BigradedRanks]:
     """(reduced, unreduced) ranks of a knot from a single scan."""
-    if not d.is_knot:
-        raise ValueError("khovanov_pair requires a knot diagram")
-    return _knot_tables(_scan(d, field, basepoint=basepoint,
-                              max_generators=max_generators, deadline=deadline),
-                        field)
+    if not isinstance(d, KnotScan):
+        d = KnotScan(d, basepoint=basepoint, max_generators=max_generators,
+                     deadline=deadline)
+    return _knot_tables(d.final_complex("khovanov_pair"), field)
 
 
-def _generator_table(scan: _Scan) -> Counter:
-    """Generators by bigrading: the homology once no unit entry is left."""
-    return Counter((h, q) for _, h, q in scan.gens.values())
+# ---------------------------------------------------------------------------
+# reading the final complex
 
 
-def _with_circle(table: Counter) -> Counter:
+def _entries(scan: _Scan):
+    """(source, target, c, power) for each entry c * X^power of the final
+    complex (X = x, t = X^2; a closed scan has even powers only)."""
+    for s, row in scan.out.items():
+        for t, entry in row.items():
+            assert len(entry) == 1, "inhomogeneous entry in final complex"
+            for key, c in entry.items():
+                tp, mask = split_key(key)
+                yield s, t, c, 2 * tp + mask
+
+
+def _gradings(scan: _Scan) -> dict:
+    return {g: (h, q) for g, (_, h, q) in scan.gens.items()}
+
+
+def _homology(gradings: dict, entries, field: CoefficientField) -> dict:
+    """Bigraded homology over ``field`` of a complex with integer entries.
+
+    ``gradings`` maps each generator to its (h, q); ``entries`` holds
+    (source, target, c) with the target one step up in h at the same q.
+    The differential's rank on each (h, q) block is taken off the
+    generator counts at both ends."""
+    table = Counter(gradings.values())
+    blocks: dict = {}
+    for s, t, c in entries:
+        (h, q), (ht, qt) = gradings[s], gradings[t]
+        assert ht == h + 1 and qt == q, "differential leaves its bigrading"
+        blocks.setdefault((h, q), []).append((s, t, c))
+    for (h, q), triples in blocks.items():
+        rows = {t: i for i, t in enumerate(dict.fromkeys(t for _, t, _ in triples))}
+        cols = {s: j for j, s in enumerate(dict.fromkeys(s for s, _, _ in triples))}
+        mat = [[0] * len(cols) for _ in rows]
+        for s, t, c in triples:
+            mat[rows[t]][cols[s]] = c
+        r = field_rank(mat, field.char)
+        table[(h, q)] -= r
+        table[(h + 1, q)] -= r
+    return {k: v for k, v in table.items() if v}
+
+
+def _with_circle(table: dict) -> dict:
     """Tensor a table with an unknotted circle, splitting q into q+1, q-1."""
     out = Counter()
     for (h, q), r in table.items():
         out[(h, q + 1)] += r
         out[(h, q - 1)] += r
-    return out
+    return dict(out)
 
 
 def _knot_tables(scan: _Scan, field: CoefficientField):
-    """(reduced, unreduced) tables of a knot scan at X = 0."""
-    return (BigradedRanks(dict(_generator_table(scan)), True, field),
-            _unreduced_from_cut(scan, field))
+    """(reduced, unreduced) tables over ``field`` of a knot scan.
 
-
-def _unreduced_from_cut(scan: _Scan, field: CoefficientField) -> BigradedRanks:
-    """Tensor the final one-arc complex with B = A[x]/(x^2): each generator
-    splits into labels 1 (q+1) and x (q-1), and an entry c*x maps the
-    1-label of its source to the x-label of its target (t = 0 and x^2 = 0
-    kill the rest).  The induced differential acts within fixed
-    (h -> h+1, q) blocks; its ranks cut the dimensions down to the
-    homology."""
-    blocks: dict = {}
-    for s, row in scan.out.items():
-        _, hs, qs = scan.gens[s]
-        for t, entry in row.items():
-            c = entry.get(key_of(0, 1))
-            if not c:
-                continue
-            _, ht, qt = scan.gens[t]
-            assert ht == hs + 1 and qt == qs + 2, "unexpected grading on x-entry"
-            blocks.setdefault((hs, qs + 1), []).append((s, t, c))
-    table = _with_circle(_generator_table(scan))
-    for (h, q), triples in blocks.items():
-        rows = sorted({t for _, t, _ in triples})
-        cols = sorted({s for s, _, _ in triples})
-        ri = {t: i for i, t in enumerate(rows)}
-        cj = {s: j for j, s in enumerate(cols)}
-        mat = [[0] * len(cols) for _ in rows]
-        for s, t, c in triples:
-            mat[ri[t]][cj[s]] = c
-        r = field_rank(mat, field.char)
-        table[(h, q)] -= r
-        table[(h + 1, q)] -= r
-    out = {k: v for k, v in table.items() if v}
-    return BigradedRanks(out, False, field)
+    Reduced: set X = 0, keeping the integer entries of power 0.
+    Unreduced: tensor the one-arc complex with A[x]/(x^2).  Generator g
+    splits into labels 1 (q+1) and x (q-1); an entry c maps each label to
+    the same label, an entry c*x maps label 1 to label x, and t = 0 kills
+    the rest."""
+    gradings = _gradings(scan)
+    split = {}
+    for g, (h, q) in gradings.items():
+        split[(g, 1)] = (h, q + 1)
+        split[(g, "x")] = (h, q - 1)
+    flat, split_entries = [], []
+    for s, t, c, power in _entries(scan):
+        if power == 0:
+            flat.append((s, t, c))
+            split_entries += [((s, 1), (t, 1), c), ((s, "x"), (t, "x"), c)]
+        elif power == 1:
+            split_entries.append(((s, 1), (t, "x"), c))
+    return (BigradedRanks(_homology(gradings, flat, field), True, field),
+            BigradedRanks(_homology(split, split_entries, field), False, field))
 
 
 # ---------------------------------------------------------------------------
 # deformation module over A[X]
 
 
-def deformed_module(d: Diagram, field: CoefficientField, reduced: bool = True, *,
-                    basepoint: int | None = None, max_generators: int | None = None,
+def deformed_module(d: Diagram | KnotScan, field: CoefficientField,
+                    reduced: bool = True, *, basepoint: int | None = None,
+                    max_generators: int | None = None,
                     deadline: float | None = None) -> DeformedModule:
     """Invariant factors of the deformed homology as a module over A[X].
 
@@ -629,29 +631,16 @@ def deformed_module(d: Diagram, field: CoefficientField, reduced: bool = True, *
         raise ValueError("the A[X] deformation module requires characteristic != 2")
     if not reduced:
         raise ValueError("only the reduced (basepointed) module is implemented")
-    if not d.is_knot:
-        raise ValueError("deformed module requires a knot diagram")
-    scan = _scan(d, field, basepoint=basepoint, max_generators=max_generators,
-                 deadline=deadline)
-    # group generators and entries by homological degree
-    by_h: dict[int, list] = {}
-    for gid, (_, h, q) in scan.gens.items():
-        by_h.setdefault(h, []).append(gid)
-    ranks: dict[int, int] = {}
-    torsion: list = []
-    for h, sources in by_h.items():
-        entries = []
-        for s in sources:
-            for t, entry in scan.out[s].items():
-                for key, c in entry.items():
-                    tp, mask = split_key(key)
-                    power = 2 * tp + mask
-                    assert mask <= 1 and power >= 1, "non-monomial entry in final complex"
-                    entries.append((t, s, c, power))
-        ranks[h], factors = _monomial_smith(entries, scan, field)
-        torsion.extend(factors)
-    free = sum(len(gids) - ranks[h] - ranks.get(h - 1, 0)
-               for h, gids in by_h.items())
+    if not isinstance(d, KnotScan):
+        d = KnotScan(d, basepoint=basepoint, max_generators=max_generators,
+                     deadline=deadline)
+    scan = d.final_complex("deformed module")
+    # the differential maps degree h to h + 1 only, so one reduction of the
+    # whole matrix pivots within each block as separate ones would, and the
+    # free rank is what no pivot row or column covers
+    rank, torsion = _monomial_smith([(t, s, c, power) for s, t, c, power
+                                     in _entries(scan)], scan.gens, field.char)
+    free = len(scan.gens) - 2 * rank
     if free != 1:
         raise RuntimeError(
             f"deformed free rank {free} != 1 for a knot: grading "
@@ -660,28 +649,32 @@ def deformed_module(d: Diagram, field: CoefficientField, reduced: bool = True, *
                           *_knot_tables(scan, field))
 
 
-def _monomial_smith(entries, scan, field):
-    """Smith reduction of a graded matrix whose entries are c * X^power.
+def _monomial_smith(entries, gens, p):
+    """Smith reduction over A[X] (A = F_p, or Q for p = 0) of a graded
+    matrix given as (target, source, c, power) for entries c * X^power,
+    with integer c and power >= 0; ``gens`` maps a generator to
+    (matching, h, q).
 
     Returns (rank, [(order, delta_of_target)] for each pivot with order >= 1).
     """
-    ring = _Ring(field.char)
     mat: dict[tuple, tuple] = {}
     rows: dict = {}
     cols: dict = {}
     for t, s, c, power in entries:
-        mat[(t, s)] = (c, power)
-        rows.setdefault(t, set()).add(s)
-        cols.setdefault(s, set()).add(t)
+        c = c % p if p else c
+        if c:
+            mat[(t, s)] = (c, power)
+            rows.setdefault(t, set()).add(s)
+            cols.setdefault(s, set()).add(t)
     rank = 0
     factors = []
     while mat:
         (t0, s0), (c0, p0) = min(mat.items(), key=lambda kv: (kv[1][1], kv[0]))
         rank += 1
         if p0 >= 1:
-            _, ht, qt = scan.gens[t0]
+            _, ht, qt = gens[t0]
             factors.append((p0, qt // 2 - ht))
-        inv0 = ring.inv(c0)
+        inv0 = pow(c0, -1, p) if p else Fraction(1, c0)
         col_others = [(t, mat[(t, s0)]) for t in cols[s0] if t != t0]
         row_others = [(s, mat[(t0, s)]) for s in rows[t0] if s != s0]
         # remove pivot row and column
@@ -696,12 +689,12 @@ def _monomial_smith(entries, scan, field):
             for s, (cs, ps) in row_others:
                 pnew = pt + ps - p0
                 cur = mat.get((t, s))
-                cnew = ring.norm(-ct * cs * inv0)
+                cnew = -ct * cs * inv0
                 if cur is not None:
                     assert cur[1] == pnew, "graded Smith: power mismatch"
-                    cnew = ring.norm(cur[0] + cnew)
-                if isinstance(cnew, Fraction) and cnew.denominator == 1:
-                    cnew = cnew.numerator
+                    cnew += cur[0]
+                if p:
+                    cnew %= p
                 if cnew:
                     mat[(t, s)] = (cnew, pnew)
                     rows.setdefault(t, set()).add(s)

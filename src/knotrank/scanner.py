@@ -22,11 +22,17 @@ conjectures. The summary's ``violations_<flag>`` counts every knot whose
 flag is false, ribbon or not; error records carry no flags and are counted
 only under ``aborted``.
 
-Every reduced table is checked against the determinant: its
+Each knot is scanned once, over the integers, and every field's tables
+and deformation module are read from that one complex.  Every reduced
+table is checked against the determinant and the Jones polynomial: its
 delta-graded Euler characteristic must be +-det (which also gives
-rank >= det and rank = det mod 2).  Per-knot failures (resource budget,
-timeout, non-knot input, a failed engine self-check) become structured
-records with an ``error`` field and never halt the batch.
+rank >= det and rank = det mod 2), and its q-graded Euler characteristic
+sum (-1)^h * rank * q^q must be the Jones polynomial.  Per-knot failures
+(resource budget, timeout, non-knot input, a failed self-check) become
+structured records with an ``error`` field and never halt the batch.  So
+does an input line that does not parse: :func:`.parse_diagram_lines`
+puts its :class:`.InvalidDiagram` in the diagram's place, and the batch
+gives it one error record at that place in the input order.
 Reports are byte-identical for identical inputs and options regardless
 of worker count; timings are therefore kept out of the serialized form
 unless explicitly requested.
@@ -43,8 +49,8 @@ from dataclasses import dataclass, field
 from .algebra import parse_field
 from .alexander import alexander_polynomial
 from .arf import arf
-from .diagram import Diagram
-from .khovanov import deformed_module, khovanov_pair
+from .diagram import Diagram, InvalidDiagram
+from .khovanov import KnotScan, deformed_module, khovanov_pair
 
 DEFAULT_FIELDS = ("f2", "f3", "f211", "q")
 
@@ -101,10 +107,13 @@ class KnotReport:
         return out
 
 
-def compute_report(d: Diagram, fields, with_deformed: bool = False,
+def compute_report(d: Diagram | InvalidDiagram, fields, with_deformed: bool = False,
                    timeout: float | None = None,
                    max_generators: int | None = None) -> KnotReport:
-    """All invariants and conjecture flags for one diagram."""
+    """All invariants and conjecture flags for one diagram, or the error
+    record of an input line that did not parse."""
+    if isinstance(d, InvalidDiagram):
+        return KnotReport(name=d.name or "?", error=f"{type(d).__name__}: {d}")
     report = KnotReport(name=d.name or "?", crossings=len(d.crossings))
     deadline = time.monotonic() + timeout if timeout else None
     t0 = time.monotonic()
@@ -118,11 +127,12 @@ def compute_report(d: Diagram, fields, with_deformed: bool = False,
         report.arf = res.value
         report.arf_routes = dict(res.routes)
         report.arf_consistent = res.consistent
+        # one scan, run by the first field's call and read by every field
+        knot_scan = KnotScan(d, max_generators=max_generators, deadline=deadline)
         for f in fields:
             fld = parse_field(f) if isinstance(f, str) else f
             if with_deformed and fld.char != 2:
-                dm = deformed_module(d, fld, max_generators=max_generators,
-                                     deadline=deadline)
+                dm = deformed_module(knot_scan, fld)
                 red, unred = dm.reduced, dm.unreduced
                 report.deformed[fld.name] = {
                     "free": dm.free_rank,
@@ -130,19 +140,23 @@ def compute_report(d: Diagram, fields, with_deformed: bool = False,
                     "xo": dm.x_torsion_order(),
                 }
             else:
-                red, unred = khovanov_pair(d, fld, max_generators=max_generators,
-                                           deadline=deadline)
+                red, unred = khovanov_pair(knot_scan, fld)
             if abs(red.delta_euler()) != report.det:
                 raise RuntimeError(
                     f"reduced {fld.name} Euler characteristic "
                     f"{red.delta_euler()} is not +-det {report.det}")
+            if red.q_euler() != res.jones.poly:
+                raise RuntimeError(
+                    f"reduced {fld.name} q-graded Euler characteristic "
+                    f"{red.q_euler().serialize()} is not the Jones "
+                    f"polynomial {res.jones.serialize()}")
             report.reduced[fld.name] = red.total
             report.unreduced[fld.name] = unred.total
         report.flags = _flags(report)
     except (RuntimeError, AssertionError, ValueError, ArithmeticError) as exc:
         # RuntimeError covers ResourceLimit, the deformed module's
-        # free-rank check and the determinant check; AssertionError covers
-        # the engine's invariants
+        # free-rank check and the determinant and Jones checks;
+        # AssertionError covers the engine's invariants
         report.error = f"{type(exc).__name__}: {exc}"
     report.time_ms = int(1000 * (time.monotonic() - t0))
     return report

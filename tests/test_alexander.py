@@ -3,7 +3,7 @@ import pytest
 from knotrank.algebra import LaurentPolynomial
 from knotrank.alexander import (alexander_polynomial, conway_potential,
                                 signed_det)
-from knotrank.corpus import load_corpus
+from knotrank.corpus import RIBBON_NAMES, load_corpus
 from knotrank.diagram import connected_sum, mirror
 from knotrank.jones import det_from_jones
 
@@ -107,3 +107,22 @@ def test_conway_potential_rejects_unnormalized():
         conway_potential(LaurentPolynomial({0: 2}))
     with pytest.raises(ValueError):
         conway_potential(LaurentPolynomial({0: 1, 1: 1}))
+
+
+# Conway-normalized Alexander polynomials of the paper's ribbon knots, as
+# {exponent: coefficient} for exponents 0..span (the rest by symmetry),
+# computed by evaluation at integer points and Lagrange interpolation
+PINNED_RIBBON = {
+    "18nh_00159590": {0: 23, 1: -14, 2: -2, 3: 10, 4: -7, 5: 2},
+    "18nh_00752242": {0: 23, 1: -13, 2: -4, 3: 11, 4: -7, 5: 2},
+    "19nh_000129633": {0: 19, 1: -13, 2: 2, 3: 5, 4: -5, 5: 2},
+    "19nh_000305767": {0: 23, 1: -14, 2: -2, 3: 10, 4: -7, 5: 2},
+    "symunion24": {0: 9, 1: -4, 3: -2, 4: 1, 5: 2, 7: -2, 8: 1},
+}
+
+
+@pytest.mark.parametrize("name", RIBBON_NAMES)
+def test_pinned_ribbon_polynomials(corpus, name):
+    half = PINNED_RIBBON[name]
+    expected = LaurentPolynomial({**{-e: c for e, c in half.items()}, **half})
+    assert alexander_polynomial(corpus[name]) == expected

@@ -98,3 +98,24 @@ def test_scan_timeout_exit_code(tmp_path):
     rc = main(["scan", "--input", str(path), "--fields", "f2",
                "--max-generators", "40", "--out", str(tmp_path / "r.jsonl")])
     assert rc == 2
+
+
+def test_scan_malformed_line_is_one_error_record(tmp_path):
+    # a line that does not parse gets an error record in its place; the
+    # knots around it are still reported, identically for any --jobs
+    c = load_corpus()
+    path = tmp_path / "three.txt"
+    path.write_text(f"3_1\t{c['3_1'].pd_text}\nbad\t[[1,2,3]\n"
+                    f"6_1\t{c['6_1'].pd_text}\n")
+    outs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"r{jobs}.jsonl"
+        assert main(["scan", "--input", str(path), "--fields", "f2",
+                     "--jobs", jobs, "--out", str(out)]) == 2
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    records = [json.loads(line) for line in outs[0].decode().splitlines()]
+    assert [r.get("name") for r in records[:3]] == ["3_1", "bad", "6_1"]
+    assert records[1]["error"].startswith("InvalidDiagram: ")
+    assert "error" not in records[0] and "error" not in records[2]
+    assert records[3]["summary"]["aborted"] == 1

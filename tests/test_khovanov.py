@@ -1,14 +1,19 @@
 import pytest
 
-from cube_oracle import CubeComplex, deformed_factors, kh_table
+import random
+
+from cube_oracle import (CubeComplex, deformed_factors, kh_table,
+                         smith_over_poly_ring)
 from knotrank._tangle import scan_order
 from knotrank.algebra import F2, F3, QQ, CoefficientField
 from knotrank.cobordism import cycles_of
 from knotrank.corpus import load_corpus
 from knotrank.diagram import connected_sum, disjoint_union, mirror, parse_pd
 from knotrank.jones import jones
-from knotrank.khovanov import (ResourceLimit, deformed_module, khovanov_pair,
-                               khovanov_ranks, torsion_parity_counts)
+from knotrank.khovanov import (KnotScan, ResourceLimit, _entries,
+                               _monomial_smith, _scan, deformed_module,
+                               khovanov_pair, khovanov_ranks,
+                               torsion_parity_counts)
 
 SMALL_KNOTS = ("3_1", "4_1", "5_1", "6_1", "6_2")
 FIELDS = (QQ, F2, F3)
@@ -202,6 +207,52 @@ def test_links_unreduced(corpus):
     assert t2.total == 8  # Kh(3_1) tensor (q + 1/q)
 
 
+def test_closed_scan_torus_link_t24():
+    # the closed integral scan of T(2,4) keeps an entry 2 (the 2-torsion of
+    # Kh over Z), which is a unit over Q and vanishes over F2
+    t24 = parse_pd("[[6,1,7,2],[8,3,5,4],[2,5,3,6],[4,7,1,8]]")
+    assert any(abs(c) > 1 for _, _, c, _ in _entries(_scan(t24)))
+    for field, total in ((F2, 8), (QQ, 6)):
+        t = khovanov_ranks(t24, field, reduced=False)
+        assert t.ranks == kh_table(t24, field.char, reduced=False)
+        assert t.total == total, field.name
+
+
+def test_one_scan_serves_every_field(corpus):
+    # a KnotScan runs once and gives each field what a scan of its own gives
+    d = corpus["18nh_00159590"]
+    knot_scan = KnotScan(d)
+    assert any(pw == 0 and abs(c) > 1
+               for _, _, c, pw in _entries(knot_scan.final_complex("test")))
+    for field in (F2, F3, QQ):
+        assert khovanov_pair(knot_scan, field) == khovanov_pair(d, field)
+    assert knot_scan.final_complex("test") is knot_scan.final_complex("test")
+    assert deformed_module(knot_scan, F3) == deformed_module(d, F3)
+
+
+def test_monomial_smith_against_oracle():
+    # random graded matrices c * X^(a_t - b_s) with integer c, power-0
+    # entries included; rank and torsion orders over F3 and Q must match
+    # the oracle's general Smith form over F[X]
+    rng = random.Random(7)
+    for _ in range(60):
+        a = [rng.randrange(4) for _ in range(rng.randrange(1, 5))]
+        b = [rng.randrange(4) for _ in range(rng.randrange(1, 5))]
+        entries = [(t, s, rng.choice((1, -2, 3, 6, 5)), a[t] - b[s])
+                   for t in range(len(a)) for s in range(len(b))
+                   if a[t] >= b[s] and rng.random() < 0.6]
+        gens = {t: ((), 0, 0) for t in range(len(a))}
+        for p in (3, 0):
+            rank, factors = _monomial_smith(entries, gens, p)
+            mat = [[() for _ in b] for _ in a]
+            for t, s, c, power in entries:
+                mat[t][s] = (0,) * power + (c,)
+            inv = smith_over_poly_ring(mat, p)
+            assert rank == len(a) - inv.free_rank
+            assert sorted(order for order, _ in factors) == \
+                sorted(inv.torsion_degrees())
+
+
 def test_resource_limit(corpus):
     with pytest.raises(ResourceLimit):
         khovanov_ranks(corpus["18nh_00159590"], F2, max_generators=50)
@@ -274,13 +325,12 @@ def test_deformed_rejects_f2(corpus):
 
 
 def test_final_differential_squares_to_zero(corpus):
-    # the deformed scan keeps a nonzero differential; check d . d = 0 by
+    # the integral scan keeps a nonzero differential, with entries such as
+    # 2 and 2X on 18nh_00159590; check d . d = 0 exactly over Z by
     # accumulating all length-2 compositions through the cobordism algebra
-    from knotrank.khovanov import _scan
-
-    for name in ("4_1", "6_1"):
+    for name in ("6_2", "18nh_00159590"):
         d = corpus[name]
-        scan = _scan(d, F3)
+        scan = _scan(d)
         square: dict = {}
         for s, row in scan.out.items():
             for mid, e1 in row.items():
@@ -289,9 +339,9 @@ def test_final_differential_squares_to_zero(corpus):
                                          scan.gens[t][0], e1, e2)
                     cell = square.setdefault((s, t), {})
                     for k, v in comp.items():
-                        nv = (cell.get(k, 0) + v) % 3
+                        nv = cell.get(k, 0) + v
                         if nv:
                             cell[k] = nv
                         else:
                             cell.pop(k, None)
-        assert all(not cell for cell in square.values()), name
+        assert square and all(not cell for cell in square.values()), name

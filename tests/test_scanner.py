@@ -147,9 +147,35 @@ def test_self_check_error_isolated(corpus, monkeypatch):
     assert reports[1].reduced["f3"] == 9
 
 
+def test_jones_check_error_isolated(corpus, monkeypatch):
+    # moving a generator from (h, q) to (h + 1, q + 2) keeps delta = q/2 - h,
+    # so the determinant check passes; the q-graded Euler characteristic
+    # no longer equals the Jones polynomial
+    real = scanner.khovanov_pair
+
+    def moved(d, *args, **kwargs):
+        red, unred = real(d, *args, **kwargs)
+        if d.name == "3_1":
+            ranks = dict(red.ranks)
+            h, q = min(ranks)
+            ranks[(h, q)] -= 1
+            ranks[(h + 1, q + 2)] = ranks.get((h + 1, q + 2), 0) + 1
+            red = BigradedRanks({k: v for k, v in ranks.items() if v}, True,
+                                red.field)
+        return red, unred
+
+    monkeypatch.setattr(scanner, "khovanov_pair", moved)
+    reports = scan([corpus["3_1"], corpus["6_1"]], fields=("f3",))
+    assert reports[0].error.startswith(
+        "RuntimeError: reduced f3 q-graded Euler characteristic")
+    assert reports[0].flags == {}
+    assert reports[1].error is None
+    assert reports[1].reduced["f3"] == 9
+
+
 def test_each_invariant_computed_once(corpus, monkeypatch):
-    # per knot: one Khovanov scan per field (an odd field's deformed scan
-    # also gives its tables), one Alexander and one Jones polynomial
+    # per knot: one integral Khovanov scan, read by every field and by the
+    # deformed module, one Alexander and one Jones polynomial
     calls = Counter()
 
     def counted(name, fn):
@@ -165,10 +191,13 @@ def test_each_invariant_computed_once(corpus, monkeypatch):
                                ("jones", "jones", "jones")):
         module = importlib.import_module(f"knotrank.{module}")
         monkeypatch.setattr(module, attr, counted(name, getattr(module, attr)))
-    rep = compute_report(corpus["18nh_00159590"], scanner.DEFAULT_FIELDS,
-                         with_deformed=True)
-    assert rep.error is None and sorted(rep.deformed) == ["f211", "f3", "q"]
-    assert calls == {"scan": 4, "alexander": 1, "jones": 1}
+    for with_deformed, deformed in ((True, ["f211", "f3", "q"]), (False, [])):
+        calls.clear()
+        rep = compute_report(corpus["18nh_00159590"], scanner.DEFAULT_FIELDS,
+                             with_deformed=with_deformed)
+        assert rep.error is None and sorted(rep.deformed) == deformed
+        assert sorted(rep.reduced) == ["f2", "f211", "f3", "q"]
+        assert calls == {"scan": 1, "alexander": 1, "jones": 1}
 
 
 def test_deformed_fields(corpus):
