@@ -13,7 +13,7 @@ from .alexander import (ConwayPotential, alexander_polynomial,
                         conway_potential, signed_det)
 from .arf import (ArfResult, arf, arf_from_alexander, arf_from_jones,
                   arf_from_jones_at_i, arf_from_jones_coeffs,
-                  arf_from_levine, link_class_from_jones, linking_number)
+                  arf_from_levine)
 from .corpus import corpus_knots, load_corpus
 from .diagram import (Diagram, InvalidDiagram, connected_sum, crossing_change,
                       disjoint_union, is_planar, mirror, oriented_resolution,
@@ -25,8 +25,7 @@ from .hfkalg import (BoxCheck, HatRankTable, UVComplex, base_summand,
 from .jones import (JonesPolynomial, det_from_jones, jones, jones_at_i,
                     kauffman_bracket)
 from .khovanov import (BigradedRanks, DeformedModule, KnotScan, ResourceLimit,
-                       deformed_module, khovanov_pair, khovanov_ranks,
-                       torsion_parity_counts)
+                       deformed_module, khovanov_pair, khovanov_ranks)
 from .scanner import (KnotReport, compute_report, parse_report_jsonl,
                       render_csv, render_jsonl, scan, summarize)
 from .symunion import (SymmetricUnionError, random_diagram,

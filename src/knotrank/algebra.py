@@ -187,9 +187,6 @@ class LaurentPolynomial:
     def exponents(self) -> list[int]:
         return sorted(self.coeffs)
 
-    def is_symmetric(self) -> bool:
-        return self == self.invert_variable()
-
     # -- conversions / evaluation -------------------------------------------
 
     def q_to_t(self) -> "LaurentPolynomial":
@@ -334,10 +331,6 @@ class QuotientClass:
                         out ^= 1 << ((i + j) % 4)
         return QuotientClass(out)
 
-    def mul_by_1_plus_t(self) -> "QuotientClass":
-        """Multiply by (1 + t); a non-injective map with rank 3 over F2."""
-        return self * QuotientClass(0b0011)
-
     def __repr__(self):
         if not self.bits:
             return "QuotientClass(0)"
@@ -346,10 +339,6 @@ class QuotientClass:
             if self.bits >> i & 1:
                 terms.append(sym)
         return f"QuotientClass({'+'.join(terms)})"
-
-    @staticmethod
-    def all_elements() -> list["QuotientClass"]:
-        return [QuotientClass(b) for b in range(16)]
 
 
 QC_ONE = QuotientClass(0b0001)

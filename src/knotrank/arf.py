@@ -10,8 +10,6 @@ For a knot the Arf invariant in Z/2 can be read off from
 
 All five are computed and cross-checked; a disagreement is reported in
 the result rather than raised, so batch scans can flag the diagram.
-For two-component links the reduction of t^(1/2) V(t) classifies the
-linking number mod 2.
 """
 
 from __future__ import annotations
@@ -89,16 +87,18 @@ def arf_from_jones_at_i(value: tuple) -> int:
     raise ValueError(f"V(i) = {value} is not +-1; not a knot value")
 
 
-def arf(d: Diagram, delta: LaurentPolynomial | None = None) -> ArfResult:
+def arf(d: Diagram, delta: LaurentPolynomial | None = None,
+        order: list[int] | None = None) -> ArfResult:
     """All five routes with a consensus value and consistency flag.
 
     ``delta`` is the Alexander polynomial of ``d`` if the caller has it;
-    otherwise it is computed here."""
+    otherwise it is computed here.  ``order`` is the crossing order the
+    Jones contraction runs in, if the caller has one."""
     if not d.is_knot:
         raise ValueError("Arf invariant computed for knots only")
     if delta is None:
         delta = alexander_polynomial(d)
-    v = jones(d)
+    v = jones(d, order)
     routes = {}
     routes["levine"] = arf_from_levine(delta.evaluate(-1))
     routes["alexander_mod"] = arf_from_alexander(delta)
@@ -110,37 +110,3 @@ def arf(d: Diagram, delta: LaurentPolynomial | None = None) -> ArfResult:
     value, _ = counts.most_common(1)[0]
     return ArfResult(value=value, routes=routes, consistent=len(counts) == 1,
                      jones=v)
-
-
-# ---------------------------------------------------------------------------
-# two-component links
-
-# cosets of the unit classes in F2[t]/(1+t^4): squares-of-units times (1+t)
-# versus units times (1+t^2); precomputed by enumerating the 8 units
-_LK0_CLASSES = {QuotientClass(0b0011), QuotientClass(0b1100)}   # 1+t, t^2+t^3
-_LK1_CLASSES = {QuotientClass(0b0101), QuotientClass(0b1010)}   # 1+t^2, t+t^3
-
-
-def link_class_from_jones(v: JonesPolynomial) -> int:
-    """Linking number mod 2 of a 2-component link from t^(1/2) V(t)."""
-    shifted = v.poly.shift(1)  # multiply by q = t^(1/2)
-    cls = QuotientClass.from_laurent(shifted.q_to_t())
-    if cls in _LK0_CLASSES:
-        return 0
-    if cls in _LK1_CLASSES:
-        return 1
-    raise ValueError(f"t^(1/2) V reduces to {cls!r}, outside both linking cosets")
-
-
-def linking_number(d: Diagram) -> int:
-    """Half the signed count of crossings between the two components."""
-    if d.n_components != 2:
-        raise ValueError("linking number needs exactly 2 components")
-    total = 0
-    for ci, (a, b, c, dd) in enumerate(d.crossings):
-        comp_under = d.component_of_edge[a]
-        comp_over = d.component_of_edge[d.over_in[ci]]
-        if comp_under != comp_over:
-            total += d.signs[ci]
-    assert total % 2 == 0
-    return total // 2

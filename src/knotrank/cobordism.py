@@ -210,7 +210,9 @@ class Glue:
         ``dot_pieces``: bitmask over pieces carrying a dot; ``cap_dots``:
         tuple indexed by cap id giving the dots each cap contributes.
         Returns tuple of (out_mask, integer multiplier, t-power), where
-        out_mask is over the output cycle indices.
+        out_mask is over the output cycle indices.  The out_masks are
+        distinct and the multipliers nonzero: each output cycle belongs to
+        one component, and each component's expansion has distinct masks.
         """
         key = (dot_pieces, cap_dots)
         hit = self.cache.get(key)

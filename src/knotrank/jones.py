@@ -42,13 +42,14 @@ class JonesPolynomial:
         return self.poly.serialize("q")
 
 
-def kauffman_bracket(d: Diagram) -> LaurentPolynomial:
+def kauffman_bracket(d: Diagram, order: list[int] | None = None) -> LaurentPolynomial:
     """Bracket polynomial in A with the empty-diagram normalization
     <empty> = 1, so a k-component crossingless unlink evaluates to
-    (-A^2 - A^{-2})^k."""
+    (-A^2 - A^{-2})^k.  The contraction runs in ``order``, by default that
+    of :func:`scan_order`."""
     states = {(): LaurentPolynomial.one()}
     open_points: set = set()
-    for ci in scan_order(d):
+    for ci in scan_order(d) if order is None else order:
         step = CrossingStep(d, ci, open_points)
         merged_cache: dict = {}
         new_states: dict = {}
@@ -90,9 +91,10 @@ def _normalize(bracket: LaurentPolynomial, writhe: int) -> LaurentPolynomial:
     return LaurentPolynomial(out)
 
 
-def jones(d: Diagram) -> JonesPolynomial:
-    """The Jones polynomial of an oriented link diagram."""
-    return JonesPolynomial(_normalize(kauffman_bracket(d), d.writhe), d.writhe)
+def jones(d: Diagram, order: list[int] | None = None) -> JonesPolynomial:
+    """The Jones polynomial of an oriented link diagram (``order`` as in
+    :func:`kauffman_bracket`)."""
+    return JonesPolynomial(_normalize(kauffman_bracket(d, order), d.writhe), d.writhe)
 
 
 def det_from_jones(d: Diagram) -> int:

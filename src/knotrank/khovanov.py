@@ -12,6 +12,14 @@ pivot is its own inverse, so the scan needs no division and runs over
 the integers; entries with any other integer (2, 3, ...) stay in the
 complex.
 
+Fusing a crossing and composing entries read per-template tables, built
+once per step: the packed expansion of each dot mask (for fusing, for
+every label pair of the new circles), so an entry term only adds its
+t-power and scales by its coefficient.  The output masks of one expansion
+are distinct (each output cycle lies on one glued component), so the
+image of a single term, or the composite of two, cannot cancel and is
+built directly; only entries of several terms accumulate and cancel.
+
 Delooping and Gaussian elimination are homotopy equivalences of
 complexes defined over Z[t], and base change to a field A (tensoring
 with F_p or Q) is a functor, so it carries them to homotopy equivalences
@@ -52,7 +60,7 @@ from functools import cache
 
 from ._tangle import ARCS_0, ARCS_1, CrossingStep, merge_matching, scan_order
 from .algebra import QQ, CoefficientField, LaurentPolynomial, field_rank
-from .cobordism import Glue, cycles_of, key_of, split_key
+from .cobordism import MASK_BITS, Glue, cycles_of, key_of, split_key
 from .diagram import Diagram
 
 
@@ -120,20 +128,6 @@ class DeformedModule:
     def x_torsion_order(self) -> int:
         return max((a for a, _ in self.torsion), default=0)
 
-    def khovanov_rank_at_x0(self) -> int:
-        return self.free_rank + 2 * len(self.torsion)
-
-
-def torsion_parity_counts(m: DeformedModule) -> tuple[int, int]:
-    """(k_even, k_odd): order-1 torsion summands by delta parity.
-
-    Only defined when every torsion order is 1 (each summand then sits in
-    a single delta-grading)."""
-    if any(a != 1 for a, _ in m.torsion):
-        raise ValueError("torsion orders above 1: delta-parity counting does not apply")
-    ke = sum(1 for _, d in m.torsion if d % 2 == 0)
-    return ke, len(m.torsion) - ke
-
 
 # ---------------------------------------------------------------------------
 # the scan
@@ -141,6 +135,7 @@ def torsion_parity_counts(m: DeformedModule) -> tuple[int, int]:
 
 _SHIFTS = {1: ((0, 1), (1, 2)), -1: ((-1, -2), (0, -1))}
 _UNITS = (1, -1)    # the pivots that Gaussian elimination over Z may cancel
+_MASK = (1 << MASK_BITS) - 1    # the dot-mask bits of an entry key
 
 
 class _Scan:
@@ -205,65 +200,74 @@ class _Scan:
         self.gens = {}
         self.out = {}
         self.inc = {}
-        gid_map: dict = {}
+        # ids[gid][r][lam]: the rows share these ints (base + lam would copy)
+        ids: dict = {}
         for gid, (match, h, q) in old_gens.items():
+            ids[gid] = by_r = []
             for r in (0, 1):
                 nm, ncirc, _ = merged(match, r)
                 dh, dq = shifts[r]
-                for lam in range(1 << ncirc):
-                    nq = q + dq + ncirc - 2 * lam.bit_count()
-                    gid_map[(gid, r, lam)] = self._new_gen(nm, h + dh, nq)
+                by_r.append(tuple(
+                    self._new_gen(nm, h + dh, q + dq + ncirc - 2 * lam.bit_count())
+                    for lam in range(1 << ncirc)))
 
         @cache
         def ext_template(m1, m2, r):
             return self._build_ext_template(m1, m2, r, step, merged)
 
-        # extended old entries
+        @cache
+        def ext_table(m1, m2, r, mask):
+            # dot mask ``mask`` from m1 to m2, extended per new label pair
+            tmpl, nc1, nc2 = ext_template(m1, m2, r)
+            return tuple((lam1, lam2, _packed(tmpl.expand(mask, caps)))
+                         for lam1, lam2, caps in _capdots(nc1, nc2))
+
+        # extended old entries: an entry term (t-power tp, dots mask, coeff)
+        # adds tp to every key of the mask's table and scales it by coeff
         for g1, row in old_out.items():
             m1 = old_gens[g1][0]
+            ids1 = ids[g1]
             for g2, entry in row.items():
                 m2 = old_gens[g2][0]
+                ids2 = ids[g2]
                 for r in (0, 1):
-                    tmpl, nc1, nc2 = ext_template(m1, m2, r)
-                    for lam1 in range(1 << nc1):
-                        s = gid_map[(g1, r, lam1)]
-                        for lam2 in range(1 << nc2):
-                            t = gid_map[(g2, r, lam2)]
-                            caps = _capdots(lam1, nc1, lam2, nc2)
-                            acc: dict = {}
-                            for key, coeff in entry.items():
-                                tp, mask = split_key(key)
-                                for om, mult, tadd in tmpl.expand(mask, caps):
-                                    k3 = key_of(tp + tadd, om)
-                                    c3 = acc.get(k3, 0) + coeff * mult
-                                    if c3:
-                                        acc[k3] = c3
-                                    else:
-                                        acc.pop(k3, None)
-                            self._set_entry(s, t, acc)
+                    src, tgt = ids1[r], ids2[r]
+                    if len(entry) == 1:
+                        # the keys of one expansion are distinct, so a single
+                        # term's image is built directly: nothing can cancel
+                        [(key, coeff)] = entry.items()
+                        tbits = key & ~_MASK
+                        for lam1, lam2, terms in ext_table(m1, m2, r, key & _MASK):
+                            self._set_entry(src[lam1], tgt[lam2],
+                                            {k + tbits: coeff * m for k, m in terms})
+                        continue
+                    # several terms: their images may cancel
+                    tables = [(key & ~_MASK, coeff, ext_table(m1, m2, r, key & _MASK))
+                              for key, coeff in entry.items()]
+                    for i, (lam1, lam2, _) in enumerate(tables[0][2]):
+                        acc: dict = {}
+                        for tbits, coeff, table in tables:
+                            for k, m in table[i][2]:
+                                k3 = k + tbits
+                                c3 = acc.get(k3, 0) + coeff * m
+                                if c3:
+                                    acc[k3] = c3
+                                else:
+                                    acc.pop(k3, None)
+                        self._set_entry(src[lam1], tgt[lam2], acc)
 
-        # saddle entries
-        saddle_cache: dict = {}
+        @cache
+        def saddle_table(match):
+            tmpl, nc0, nc1 = self._build_saddle_template(match, step, merged)
+            return tuple((lam0, lam1, _packed(tmpl.expand(0, caps)))
+                         for lam0, lam1, caps in _capdots(nc0, nc1))
+
+        # saddle entries, each one expansion times the sign (-1)^h
         for gid, (match, h, q) in old_gens.items():
-            if match not in saddle_cache:
-                saddle_cache[match] = self._build_saddle_template(match, step, merged)
-            tmpl, nc0, nc1 = saddle_cache[match]
             sign = -1 if h % 2 else 1
-            for lam0 in range(1 << nc0):
-                s = gid_map[(gid, 0, lam0)]
-                for lam1 in range(1 << nc1):
-                    t = gid_map[(gid, 1, lam1)]
-                    caps = _capdots(lam0, nc0, lam1, nc1)
-                    acc = {}
-                    for om, mult, tadd in tmpl.expand(0, caps):
-                        k3 = key_of(tadd, om)
-                        c3 = acc.get(k3, 0) + sign * mult
-                        if c3:
-                            acc[k3] = c3
-                        else:
-                            acc.pop(k3, None)
-                    self._set_entry(s, t, acc)
-        self.compose_cache.clear()
+            src, tgt = ids[gid]
+            for lam0, lam1, terms in saddle_table(match):
+                self._set_entry(src[lam0], tgt[lam1], {k: sign * m for k, m in terms})
 
     def _build_ext_template(self, m1, m2, r, step, merged):
         arcs = ARCS_0 if r == 0 else ARCS_1
@@ -373,8 +377,12 @@ class _Scan:
                           and gx[0] == m_y and gx[2] == gens[y][2]):
                         heapq.heappush(
                             heap, ((len(inc[y]) - 1) * (len(row_x) - 1), x, y))
+        # the step's compose tables go before the next fuse, the scan's peak
+        self.compose_cache.clear()
 
     def _compose(self, ma, mb, mc, e1, e2) -> dict:
+        """e2 . e1 for entries ma -> mb -> mc, read off the triple's table of
+        packed expansions by dot masks (mask1 | mask2 << m1)."""
         tmpl = self.compose_cache.get((ma, mb, mc))
         if tmpl is None:
             m1, pc1 = cycles_of(ma, mb)
@@ -390,23 +398,44 @@ class _Scan:
                 if cyc not in placed:
                     placed.add(cyc)
                     boundary.append((pc1[p], ("out", cyc)))
-            tmpl = (Glue(m1 + m2, contacts, boundary), m1)
+            tmpl = (_ExpansionTable(Glue(m1 + m2, contacts, boundary)), m1)
             self.compose_cache[(ma, mb, mc)] = tmpl
-        glue, m1 = tmpl
+        table, m1 = tmpl
+        if len(e1) == 1 and len(e2) == 1:
+            # the keys of one expansion are distinct, so the product of two
+            # single terms is built directly: nothing can cancel
+            [(k1, c1)] = e1.items()
+            [(k2, c2)] = e2.items()
+            mask1, mask2 = k1 & _MASK, k2 & _MASK
+            tbits = k1 - mask1 + k2 - mask2
+            c = c1 * c2
+            return {k + tbits: c * m for k, m in table[mask1 | mask2 << m1]}
         acc: dict = {}
         for k1, c1 in e1.items():
-            tp1, mask1 = split_key(k1)
+            mask1 = k1 & _MASK
             for k2, c2 in e2.items():
-                tp2, mask2 = split_key(k2)
-                dots = mask1 | (mask2 << m1)
-                for om, mult, tadd in glue.expand(dots):
-                    k3 = key_of(tp1 + tp2 + tadd, om)
-                    c3 = acc.get(k3, 0) + c1 * c2 * mult
+                mask2 = k2 & _MASK
+                tbits = k1 - mask1 + k2 - mask2
+                c = c1 * c2
+                for k, m in table[mask1 | mask2 << m1]:
+                    k3 = k + tbits
+                    c3 = acc.get(k3, 0) + c * m
                     if c3:
                         acc[k3] = c3
                     else:
                         acc.pop(k3, None)
         return acc
+
+
+class _ExpansionTable(dict):
+    """dot mask -> packed expansion of one glue template, filled on use."""
+
+    def __init__(self, glue: Glue):
+        self.glue = glue
+
+    def __missing__(self, dots):
+        terms = self[dots] = _packed(self.glue.expand(dots))
+        return terms
 
 
 def _out_boundary(boundary, nm1, nm2, cons1, pc_old, loc_pieces):
@@ -437,22 +466,33 @@ def _cap_boundary(boundary, ncirc, cons, pc_old, loc_pieces, base):
         boundary.append((piece, ("cap", base + k)))
 
 
-def _capdots(lam_src, nc_src, lam_tgt, nc_tgt) -> tuple:
-    """Dots contributed by the deloop maps: a source circle labelled x is a
-    dotted cup, a target circle labelled 1 is extracted by a dotted cap."""
-    return tuple(lam_src >> k & 1 for k in range(nc_src)) + \
-        tuple(1 - (lam_tgt >> k & 1) for k in range(nc_tgt))
+@cache
+def _capdots(nc_src, nc_tgt) -> tuple:
+    """(lam_src, lam_tgt, dots) per label pair, lam_src-major: a source
+    circle labelled x is a dotted cup, a target circle labelled 1 is
+    extracted by a dotted cap.  At most two circles: nine tables."""
+    return tuple((lam_src, lam_tgt,
+                  tuple(lam_src >> k & 1 for k in range(nc_src))
+                  + tuple(1 - (lam_tgt >> k & 1) for k in range(nc_tgt)))
+                 for lam_src in range(1 << nc_src) for lam_tgt in range(1 << nc_tgt))
+
+
+def _packed(expansion) -> tuple:
+    """A ``Glue.expand`` result as (key of t-power and output mask, mult)."""
+    return tuple((key_of(tadd, om), mult) for om, mult, tadd in expansion)
 
 
 # ---------------------------------------------------------------------------
 # public computations
 
 
-def _scan(d, *, basepoint=None, max_generators=None, deadline=None) -> _Scan:
-    """Scan ``d`` over Z in the order of :func:`scan_order` with t kept
-    free, cut open at the basepoint edge if ``d`` is a knot with crossings
-    and closed otherwise."""
-    order = scan_order(d)
+def _scan(d, order=None, *, basepoint=None, max_generators=None,
+          deadline=None) -> _Scan:
+    """Scan ``d`` over Z in ``order`` (by default that of :func:`scan_order`)
+    with t kept free, cut open at the basepoint edge if ``d`` is a knot with
+    crossings and closed otherwise."""
+    if order is None:
+        order = scan_order(d)
     cut_edge = (_pick_basepoint(d, order, basepoint)
                 if d.is_knot and d.crossings else None)
     budget = 400_000 if max_generators is None else max_generators
@@ -479,12 +519,14 @@ class KnotScan:
 
     :func:`khovanov_pair` and :func:`deformed_module` take a ``KnotScan``
     in place of the diagram, so that every field and flavour is read from
-    one scan; the options given here then apply."""
+    one scan; the options given here then apply.  ``order`` is the crossing
+    order of the scan, which the Jones contraction can share."""
 
     def __init__(self, d: Diagram, *, basepoint: int | None = None,
                  max_generators: int | None = None, deadline: float | None = None):
         self.diagram = d
         self.name = d.name
+        self.order = scan_order(d)
         self._options = dict(basepoint=basepoint, max_generators=max_generators,
                              deadline=deadline)
         self._scan = None
@@ -495,7 +537,7 @@ class KnotScan:
         if not self.diagram.is_knot:
             raise ValueError(f"{what} requires a knot diagram")
         if self._scan is None:
-            self._scan = _scan(self.diagram, **self._options)
+            self._scan = _scan(self.diagram, self.order, **self._options)
         return self._scan
 
 

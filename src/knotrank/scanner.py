@@ -123,12 +123,12 @@ def compute_report(d: Diagram | InvalidDiagram, fields, with_deformed: bool = Fa
         delta = alexander_polynomial(d)
         report.signed_det = delta.evaluate(-1)
         report.det = abs(report.signed_det)
-        res = arf(d, delta)
+        # one order for Jones and the one scan, which every field reads
+        knot_scan = KnotScan(d, max_generators=max_generators, deadline=deadline)
+        res = arf(d, delta, knot_scan.order)
         report.arf = res.value
         report.arf_routes = dict(res.routes)
         report.arf_consistent = res.consistent
-        # one scan, run by the first field's call and read by every field
-        knot_scan = KnotScan(d, max_generators=max_generators, deadline=deadline)
         for f in fields:
             fld = parse_field(f) if isinstance(f, str) else f
             if with_deformed and fld.char != 2:

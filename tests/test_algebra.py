@@ -96,12 +96,14 @@ def test_reduction_is_ring_homomorphism():
 
 
 def test_mul_by_1_plus_t_kernel_and_image():
-    kernel = [c for c in QuotientClass.all_elements()
-              if c.mul_by_1_plus_t() == QuotientClass(0)]
+    # multiplying by 1 + t is a non-injective map of rank 3 over F2
+    one_plus_t = QuotientClass(0b0011)
+    elements = [QuotientClass(b) for b in range(16)]
+    kernel = [c for c in elements if c * one_plus_t == QuotientClass(0)]
     assert sorted(c.bits for c in kernel) == [0b0000, 0b1111]
-    image = {c.mul_by_1_plus_t().bits for c in QuotientClass.all_elements()}
+    image = {(c * one_plus_t).bits for c in elements}
     assert len(image) == 8  # rank 3 over F2
-    assert QuotientClass(0b0001).mul_by_1_plus_t() == QuotientClass(0b0011)
+    assert QuotientClass(0b0001) * one_plus_t == QuotientClass(0b0011)
 
 
 # -- Z[zeta_8] ---------------------------------------------------------------

@@ -1,15 +1,45 @@
 import pytest
 
-from knotrank.algebra import LaurentPolynomial
+from knotrank.algebra import LaurentPolynomial, QuotientClass
 from knotrank.alexander import alexander_polynomial
 from knotrank.arf import (arf, arf_from_alexander, arf_from_jones,
                           arf_from_jones_at_i, arf_from_jones_coeffs,
-                          arf_from_levine, link_class_from_jones,
-                          linking_number)
+                          arf_from_levine)
 from knotrank.corpus import load_corpus
-from knotrank.diagram import crossing_change, disjoint_union, oriented_resolution
-from knotrank.jones import jones
+from knotrank.diagram import (Diagram, crossing_change, disjoint_union,
+                              oriented_resolution)
+from knotrank.jones import JonesPolynomial, jones
 from knotrank.symunion import symmetric_union
+
+# cosets of the unit classes in F2[t]/(1+t^4): squares-of-units times (1+t)
+# versus units times (1+t^2); precomputed by enumerating the 8 units
+_LK0_CLASSES = {QuotientClass(0b0011), QuotientClass(0b1100)}   # 1+t, t^2+t^3
+_LK1_CLASSES = {QuotientClass(0b0101), QuotientClass(0b1010)}   # 1+t^2, t+t^3
+
+
+def link_class_from_jones(v: JonesPolynomial) -> int:
+    """Linking number mod 2 of a 2-component link from t^(1/2) V(t)."""
+    shifted = v.poly.shift(1)  # multiply by q = t^(1/2)
+    cls = QuotientClass.from_laurent(shifted.q_to_t())
+    if cls in _LK0_CLASSES:
+        return 0
+    if cls in _LK1_CLASSES:
+        return 1
+    raise ValueError(f"t^(1/2) V reduces to {cls!r}, outside both linking cosets")
+
+
+def linking_number(d: Diagram) -> int:
+    """Half the signed count of crossings between the two components."""
+    if d.n_components != 2:
+        raise ValueError("linking number needs exactly 2 components")
+    total = 0
+    for ci, (a, b, c, dd) in enumerate(d.crossings):
+        comp_under = d.component_of_edge[a]
+        comp_over = d.component_of_edge[d.over_in[ci]]
+        if comp_under != comp_over:
+            total += d.signs[ci]
+    assert total % 2 == 0
+    return total // 2
 
 
 @pytest.fixture(scope="module")

@@ -1,22 +1,40 @@
-import pytest
-
+import hashlib
 import random
+
+import pytest
 
 from cube_oracle import (CubeComplex, deformed_factors, kh_table,
                          smith_over_poly_ring)
 from knotrank._tangle import scan_order
 from knotrank.algebra import F2, F3, QQ, CoefficientField
 from knotrank.cobordism import cycles_of
-from knotrank.corpus import load_corpus
+from knotrank.corpus import RIBBON_NAMES, load_corpus
 from knotrank.diagram import connected_sum, disjoint_union, mirror, parse_pd
 from knotrank.jones import jones
-from knotrank.khovanov import (KnotScan, ResourceLimit, _entries,
-                               _monomial_smith, _scan, deformed_module,
-                               khovanov_pair, khovanov_ranks,
-                               torsion_parity_counts)
+from knotrank.khovanov import (DeformedModule, KnotScan, ResourceLimit,
+                               _entries, _monomial_smith, _scan,
+                               deformed_module, khovanov_pair, khovanov_ranks)
 
 SMALL_KNOTS = ("3_1", "4_1", "5_1", "6_1", "6_2")
 FIELDS = (QQ, F2, F3)
+
+
+def rank_at_x0(m: DeformedModule) -> int:
+    """The reduced Khovanov rank at X = 0 of a deformed module: the free
+    summand counts once, each torsion summand A[X]/(X^a) twice (once in the
+    tensor product with A[X]/(X) and once in Tor)."""
+    return m.free_rank + 2 * len(m.torsion)
+
+
+def torsion_parity_counts(m: DeformedModule) -> tuple[int, int]:
+    """(k_even, k_odd): order-1 torsion summands by delta parity.
+
+    Only defined when every torsion order is 1 (each summand then sits in
+    a single delta-grading)."""
+    if any(a != 1 for a, _ in m.torsion):
+        raise ValueError("torsion orders above 1: delta-parity counting does not apply")
+    ke = sum(1 for _, d in m.torsion if d % 2 == 0)
+    return ke, len(m.torsion) - ke
 
 
 @pytest.fixture(scope="module")
@@ -281,7 +299,7 @@ def test_deformed_against_smith_oracle(corpus, name, field):
 def test_deformed_x0_consistency(corpus):
     for name in SMALL_KNOTS:
         dm = deformed_module(corpus[name], F3)
-        assert dm.khovanov_rank_at_x0() == khovanov_ranks(corpus[name], F3).total
+        assert rank_at_x0(dm) == khovanov_ranks(corpus[name], F3).total
 
 
 def test_deformed_unknot(corpus):
@@ -301,8 +319,6 @@ def test_deformed_61(corpus):
 
 
 def test_torsion_parity_requires_order_one():
-    from knotrank.khovanov import DeformedModule
-
     fixture = DeformedModule(1, ((1, 0), (1, 1)), F3)
     assert torsion_parity_counts(fixture) == (1, 1)
     bad = DeformedModule(1, ((1, 0), (3, 1)), F3)
@@ -345,3 +361,35 @@ def test_final_differential_squares_to_zero(corpus):
                         else:
                             cell.pop(k, None)
         assert square and all(not cell for cell in square.values()), name
+
+
+# sha256 of (sorted generators, sorted entries, next_gid) of the final
+# complex, and next_gid, taken with the scan kernel that built every entry
+# by expanding each glue template term by term; the ribbon knots have
+# multi-term entries, so both paths of the tabulated kernel are covered
+FINAL_COMPLEXES = {
+    "18nh_00159590": ("23434f78ad664dc00ebd004040a8d857"
+                      "28339103c647845d8ea9aae51001380f", 3155),
+    "18nh_00752242": ("eb01102a16a7181b1a08c17b73b943be"
+                      "af8093cc5c06d5bb1d97a0e398043dc6", 4706),
+    "19nh_000129633": ("9ce22e98b27b593d3ff14ebcc9b3bd3d"
+                       "4aafbad41225acaf9ba8bdd9c3061b46", 2109),
+    "19nh_000305767": ("ff34346c678e7b40ba2d6c5e08688b2e"
+                       "a6bbc899e08d56691016a70189b91fc6", 5939),
+    "symunion24": ("61fa6a8405caf7c6bdfb51eda159f392"
+                   "2355bc8b3fbda3aa6e6452c14e7a9350", 4995),
+    "6_2": ("2f42b63f5b625809cd6f877e22f84c37"
+            "6a68f90be6ba996cdeff6cf7c9dc916e", 75),
+}
+
+
+@pytest.mark.parametrize("name", (*RIBBON_NAMES, "6_2"))
+def test_final_complex_pinned(corpus, name):
+    # generator ids, the elimination order and every entry of the final
+    # complex stay exactly as the term-by-term kernel made them
+    scan = _scan(corpus[name])
+    gens = sorted((g, m, h, q) for g, (m, h, q) in scan.gens.items())
+    entries = sorted((s, t, sorted(e.items()))
+                     for s, row in scan.out.items() for t, e in row.items())
+    digest = hashlib.sha256(repr((gens, entries, scan.next_gid)).encode())
+    assert (digest.hexdigest(), scan.next_gid) == FINAL_COMPLEXES[name]

@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from knotrank import scanner
+from knotrank import khovanov, scanner
 from knotrank.corpus import load_corpus
 from knotrank.khovanov import BigradedRanks
 from knotrank.scanner import (FLAG_NAMES, compute_report, parse_report_jsonl,
@@ -174,8 +174,9 @@ def test_jones_check_error_isolated(corpus, monkeypatch):
 
 
 def test_each_invariant_computed_once(corpus, monkeypatch):
-    # per knot: one integral Khovanov scan, read by every field and by the
-    # deformed module, one Alexander and one Jones polynomial
+    # per knot: one crossing order, shared by the Jones contraction and the
+    # one integral Khovanov scan, which every field and the deformed module
+    # read, one Alexander and one Jones polynomial
     calls = Counter()
 
     def counted(name, fn):
@@ -184,7 +185,10 @@ def test_each_invariant_computed_once(corpus, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for module, attr, name in (("khovanov", "scan_order", "scan"),
+    monkeypatch.setattr(khovanov._Scan, "run",
+                        counted("scan", khovanov._Scan.run))
+    for module, attr, name in (("khovanov", "scan_order", "scan_order"),
+                               ("jones", "scan_order", "scan_order"),
                                ("scanner", "alexander_polynomial", "alexander"),
                                ("arf", "alexander_polynomial", "alexander"),
                                ("arf", "jones", "jones"),
@@ -197,7 +201,8 @@ def test_each_invariant_computed_once(corpus, monkeypatch):
                              with_deformed=with_deformed)
         assert rep.error is None and sorted(rep.deformed) == deformed
         assert sorted(rep.reduced) == ["f2", "f211", "f3", "q"]
-        assert calls == {"scan": 1, "alexander": 1, "jones": 1}
+        assert calls == {"scan_order": 1, "scan": 1, "alexander": 1,
+                         "jones": 1}
 
 
 def test_deformed_fields(corpus):
