@@ -3,8 +3,8 @@
 Diagrams are PD codes; invariants include Jones and Alexander/Conway
 polynomials, five-route Arf computation, reduced/unreduced Khovanov
 homology ranks over Q and prime fields, the A[X] deformation module with
-its X-torsion orders, F2[U,V] chain-complex calculus, symmetric-union
-generators and a batch conjecture scanner.
+its X-torsion orders, symmetric-union generators and a batch conjecture
+scanner.
 """
 
 from .algebra import (F2, F3, F211, QQ, CoefficientField, LaurentPolynomial,
@@ -18,10 +18,6 @@ from .corpus import corpus_knots, load_corpus
 from .diagram import (Diagram, InvalidDiagram, connected_sum, crossing_change,
                       disjoint_union, is_planar, mirror, oriented_resolution,
                       parse_diagram_file, parse_diagram_lines, parse_pd)
-from .hfkalg import (BoxCheck, HatRankTable, UVComplex, base_summand,
-                     box_arithmetic_check, complex_a, delta_euler_hat,
-                     direct_sum, hat_ranks, parse_complex, serialize_complex,
-                     unit_box)
 from .jones import (JonesPolynomial, det_from_jones, jones, jones_at_i,
                     kauffman_bracket)
 from .khovanov import (BigradedRanks, DeformedModule, KnotScan, ResourceLimit,

@@ -55,29 +55,6 @@ def parse_field(token: str) -> CoefficientField:
     raise ValueError(f"unknown field spec {token!r} (expected 'q' or 'f<p>')")
 
 
-def field_rank(mat, p: int) -> int:
-    """Rank of a small dense matrix over F_p (p > 0) or Q (p == 0)."""
-    m = [[x % p if p else Fraction(x) for x in row] for row in mat]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    for col in range(cols):
-        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = pow(m[rank][col], -1, p) if p else 1 / m[rank][col]
-        for r in range(rank + 1, len(m)):
-            if m[r][col]:
-                f = m[r][col] * inv
-                for cc in range(col, cols):
-                    v = m[r][cc] - f * m[rank][cc]
-                    m[r][cc] = v % p if p else v
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
-
-
 # ---------------------------------------------------------------------------
 # Laurent polynomials
 

@@ -7,8 +7,6 @@ Subcommands operate on diagram files with one record per line,
     knotrank alexander FILE
     knotrank arf FILE
     knotrank kh FILE --field f3 [--unreduced] [--deformed]
-    knotrank hfk-alg COMPLEX_FILE
-    knotrank hfk-alg --check-to DET ARF L
     knotrank symunion gen --seed S --count C --crossings N --twists "1"
     knotrank scan --input FILE --fields f2,f3,f211,q --out report.jsonl
 """
@@ -23,96 +21,75 @@ from pathlib import Path
 from .algebra import format_iroot2, parse_field
 from .alexander import alexander_polynomial, conway_potential
 from .arf import arf
-from .diagram import format_diagram_file, parse_diagram_file, parse_diagram_lines
+from .diagram import InvalidDiagram, format_diagram_file, parse_diagram_lines
 from .jones import det_from_jones, jones
-from .khovanov import deformed_module, khovanov_ranks
-from .hfkalg import (box_arithmetic_check, delta_euler_hat, hat_ranks,
-                     parse_complex)
+from .khovanov import KnotScan, deformed_module, khovanov_ranks
 from .scanner import render_csv, render_jsonl, scan
 from .symunion import random_symmetric_union
 
 
-def _load(path: str):
-    return parse_diagram_file(Path(path).read_text())
-
-
-def _cmd_jones(args) -> int:
-    for d in _load(args.file):
-        v = jones(d)
-        if d.is_knot:
-            det = det_from_jones(d)
-        else:
-            det = ""
-        vi = format_iroot2(v.poly.evaluate_zeta8(1))
-        print(f"{d.name}\t{v.serialize()}\t{det}\t{vi}")
-    return 0
-
-
-def _cmd_alexander(args) -> int:
-    for d in _load(args.file):
-        if not d.is_knot:
-            print(f"{d.name}\t-\t-\t-")
-            continue
-        delta = alexander_polynomial(d)
-        sdet = delta.evaluate(-1)
-        a2 = conway_potential(delta).a2
-        print(f"{d.name}\t{delta.serialize('t')}\t{sdet}\t{a2}")
-    return 0
-
-
-def _cmd_arf(args) -> int:
-    for d in _load(args.file):
-        if not d.is_knot:
-            print(f"{d.name}\t-\t-\t-")
-            continue
-        r = arf(d)
-        print(f"{d.name}\t{r.value}\t{r.route_vector()}\t{r.consistent}")
-    return 0
-
-
-def _cmd_kh(args) -> int:
-    fld = parse_field(args.field)
+def _rows(path: str, row, placeholder: str) -> int:
+    """Print ``row(d)`` for each diagram of the file at ``path``.  A line that does
+    not parse, or a diagram that ``row`` rejects with a ValueError, prints
+    its error to stderr and ``placeholder`` in its place, and the command
+    goes on and exits 2."""
     status = 0
-    for d in _load(args.file):
+    for d in parse_diagram_lines(Path(path).read_text()):
         try:
-            if args.deformed:
-                dm = deformed_module(d, fld)
-                table = dm.unreduced if args.unreduced else dm.reduced
-            else:
-                table = khovanov_ranks(d, fld, reduced=not args.unreduced)
-            line = (f"{d.name}\t{table.total}\t{table.mod(4)}\t{table.mod(8)}"
-                    f"\t{json.dumps(table.table_json())}")
-            if args.deformed:
-                orders = ",".join(str(a) for a, _ in dm.torsion) or "-"
-                line += f"\t{dm.free_rank}\t{orders}\t{dm.x_torsion_order()}"
-            print(line)
+            if isinstance(d, InvalidDiagram):
+                raise d
+            print(row(d))
         except ValueError as exc:
             print(f"{d.name}\terror: {exc}", file=sys.stderr)
-            print(f"{d.name}\t-\t-\t-\t-")
+            print(f"{d.name}\t{placeholder}")
             status = 2
     return status
 
 
-def _cmd_hfk_alg(args) -> int:
-    if args.check_to:
-        det, arf_value, boxes = args.check_to
-        verdict = box_arithmetic_check(int(det), int(arf_value), [0] * int(boxes))
-        print(f"det={det} arf={arf_value} boxes={boxes} rank={verdict.rank} "
-              f"det_matches={verdict.det_matches} parity_matches={verdict.parity_matches} "
-              f"consistent={verdict.consistent}")
-        return 0 if verdict.consistent else 1
-    if not args.file:
-        print("hfk-alg: need a complex file or --check-to", file=sys.stderr)
-        return 2
-    c = parse_complex(Path(args.file).read_text())
-    table = hat_ranks(c)
-    for (w, z) in sorted(table.ranks):
-        print(f"rank\t{w}\t{z}\t{table.ranks[(w, z)]}")
-    for delta, r in sorted(table.by_delta().items()):
-        print(f"delta\t{delta}\t{r}")
-    print(f"total\t{table.total}")
-    print(f"delta_euler\t{delta_euler_hat(table)}")
-    return 0
+def _cmd_jones(args) -> int:
+    def row(d):
+        v = jones(d)
+        det = det_from_jones(d) if d.is_knot else ""
+        vi = format_iroot2(v.poly.evaluate_zeta8(1))
+        return f"{d.name}\t{v.serialize()}\t{det}\t{vi}"
+    return _rows(args.file, row, "-\t-\t-")
+
+
+def _cmd_alexander(args) -> int:
+    def row(d):
+        if not d.is_knot:
+            return f"{d.name}\t-\t-\t-"
+        delta = alexander_polynomial(d)
+        a2 = conway_potential(delta).a2
+        return f"{d.name}\t{delta.serialize('t')}\t{delta.evaluate(-1)}\t{a2}"
+    return _rows(args.file, row, "-\t-\t-")
+
+
+def _cmd_arf(args) -> int:
+    def row(d):
+        if not d.is_knot:
+            return f"{d.name}\t-\t-\t-"
+        r = arf(d)
+        return f"{d.name}\t{r.value}\t{r.route_vector()}\t{r.consistent}"
+    return _rows(args.file, row, "-\t-\t-")
+
+
+def _cmd_kh(args) -> int:
+    fld = parse_field(args.field)
+
+    def row(d):
+        knot_scan = KnotScan(d)
+        if args.deformed:
+            # deformed_module first, so that a link or F2 gets its error
+            dm = deformed_module(knot_scan, fld)
+        table = khovanov_ranks(knot_scan, fld, reduced=not args.unreduced)
+        line = (f"{d.name}\t{table.total}\t{table.mod(4)}\t{table.mod(8)}"
+                f"\t{json.dumps(table.table_json())}")
+        if args.deformed:
+            orders = ",".join(str(a) for a, _ in dm.torsion) or "-"
+            line += f"\t{dm.free_rank}\t{orders}\t{dm.x_torsion_order()}"
+        return line
+    return _rows(args.file, row, "-\t-\t-\t-")
 
 
 def _cmd_symunion(args) -> int:
@@ -171,12 +148,6 @@ def main(argv=None) -> int:
     p.add_argument("--deformed", action="store_true",
                    help="append free rank, torsion orders and xo over A[X]")
     p.set_defaults(func=_cmd_kh)
-
-    p = sub.add_parser("hfk-alg", help="hat homology of an F2[U,V] complex file")
-    p.add_argument("file", nargs="?")
-    p.add_argument("--check-to", nargs=3, metavar=("DET", "ARF", "L"),
-                   help="check det/Arf arithmetic against L unit boxes")
-    p.set_defaults(func=_cmd_hfk_alg)
 
     p = sub.add_parser("symunion", help="symmetric-union generators")
     gensub = p.add_subparsers(dest="subcommand", required=True)

@@ -161,7 +161,7 @@ class Glue:
     normal form as a list of (out_mask, integer coeff, t-power).
     """
 
-    __slots__ = ("groups", "cache")
+    __slots__ = ("groups",)
 
     def __init__(self, n_pieces: int, contacts, boundary):
         """contacts: iterable of (piece, piece); boundary: list of
@@ -202,7 +202,6 @@ class Glue:
                     piecemask |= 1 << i
             groups.append((genus, piecemask, tuple(outs), tuple(cap_ids)))
         self.groups = tuple(groups)
-        self.cache = {}
 
     def expand(self, dot_pieces: int, cap_dots: tuple = ()) -> tuple:
         """Normal form of the glued cobordism.
@@ -214,10 +213,6 @@ class Glue:
         distinct and the multipliers nonzero: each output cycle belongs to
         one component, and each component's expansion has distinct masks.
         """
-        key = (dot_pieces, cap_dots)
-        hit = self.cache.get(key)
-        if hit is not None:
-            return hit
         terms = [(0, 1, 0)]
         for genus, piecemask, outs, cap_ids in self.groups:
             d = (dot_pieces & piecemask).bit_count()
@@ -241,6 +236,4 @@ class Glue:
                             om |= 1 << cyc
                     new_terms.append((om, c * lc, t + lt))
             terms = new_terms
-        result = tuple(terms)
-        self.cache[key] = result
-        return result
+        return tuple(terms)

@@ -47,6 +47,11 @@ t = X^2); every entry of the final complex is a monomial c * X^power.
 
 Links are scanned closed (no cut); only unreduced ranks apply there,
 read off at t = 0.
+
+:class:`KnotScan` is the one place where scan options enter: it fixes
+the crossing order, the cut edge, the generator budget and the deadline,
+and runs the scan once.  The readers take a diagram or a ``KnotScan`` and
+no options of their own.
 """
 
 from __future__ import annotations
@@ -59,7 +64,7 @@ from fractions import Fraction
 from functools import cache
 
 from ._tangle import ARCS_0, ARCS_1, CrossingStep, merge_matching, scan_order
-from .algebra import QQ, CoefficientField, LaurentPolynomial, field_rank
+from .algebra import QQ, CoefficientField, LaurentPolynomial
 from .cobordism import MASK_BITS, Glue, cycles_of, key_of, split_key
 from .diagram import Diagram
 
@@ -114,16 +119,11 @@ class BigradedRanks:
 
 @dataclass(frozen=True)
 class DeformedModule:
-    """H over A[X]: free rank plus X-torsion summands (order, delta).
-
-    :func:`deformed_module` also fills in the X = 0 reduced and unreduced
-    tables of the same scan."""
+    """H over A[X]: free rank plus X-torsion summands (order, delta)."""
 
     free_rank: int
     torsion: tuple  # of (order, delta) pairs, sorted
     field: CoefficientField
-    reduced: BigradedRanks | None = None
-    unreduced: BigradedRanks | None = None
 
     def x_torsion_order(self) -> int:
         return max((a for a, _ in self.torsion), default=0)
@@ -140,11 +140,11 @@ _MASK = (1 << MASK_BITS) - 1    # the dot-mask bits of an entry key
 
 class _Scan:
     def __init__(self, d: Diagram, order: list[int], cut_edge: int | None,
-                 max_generators: int, deadline: float | None):
+                 budget: int, deadline: float | None):
         self.d = d
         self.order = order
         self.cut_edge = cut_edge
-        self.max_generators = max_generators
+        self.budget = budget
         self.deadline = deadline
         self.gens: dict[int, tuple] = {}       # gid -> (match, h, q)
         self.out: dict[int, dict] = {}          # src -> {tgt: entry}
@@ -179,9 +179,9 @@ class _Scan:
                 raise ResourceLimit("scan deadline exceeded")
             step = CrossingStep(d, ci, open_pts, self.cut_edge)
             self._fuse(step)
-            if len(self.gens) > self.max_generators:
+            if len(self.gens) > self.budget:
                 raise ResourceLimit(
-                    f"{len(self.gens)} generators exceed the budget of {self.max_generators}")
+                    f"{len(self.gens)} generators exceed the budget of {self.budget}")
             self._eliminate()
             open_pts = step.next_points(open_pts)
         return self
@@ -486,19 +486,6 @@ def _packed(expansion) -> tuple:
 # public computations
 
 
-def _scan(d, order=None, *, basepoint=None, max_generators=None,
-          deadline=None) -> _Scan:
-    """Scan ``d`` over Z in ``order`` (by default that of :func:`scan_order`)
-    with t kept free, cut open at the basepoint edge if ``d`` is a knot with
-    crossings and closed otherwise."""
-    if order is None:
-        order = scan_order(d)
-    cut_edge = (_pick_basepoint(d, order, basepoint)
-                if d.is_knot and d.crossings else None)
-    budget = 400_000 if max_generators is None else max_generators
-    return _Scan(d, order, cut_edge, budget, deadline).run()
-
-
 def _pick_basepoint(d: Diagram, order: list[int], basepoint: int | None) -> int:
     """The edge at which a knot scan in ``order`` is cut open.
 
@@ -515,35 +502,37 @@ def _pick_basepoint(d: Diagram, order: list[int], basepoint: int | None) -> int:
 
 
 class KnotScan:
-    """The integral scan of a knot diagram, run when first read.
+    """The integral scan of a diagram, run when first read.
 
-    :func:`khovanov_pair` and :func:`deformed_module` take a ``KnotScan``
-    in place of the diagram, so that every field and flavour is read from
-    one scan; the options given here then apply.  ``order`` is the crossing
-    order of the scan, which the Jones contraction can share."""
+    Every scan option enters here, and the readers (:func:`khovanov_ranks`,
+    :func:`khovanov_pair`, :func:`deformed_module`) take a ``KnotScan`` in
+    place of the diagram, so that every field and flavour is read from one
+    scan.  ``order`` is the crossing order of the scan, which the Jones
+    contraction can share.  A knot with crossings is cut open at
+    ``basepoint`` (by default an edge of the order's last crossing); a link
+    is scanned closed.  ``max_generators`` (default 400,000) bounds the
+    complex right after each crossing is fused in, and ``deadline``, a
+    :func:`time.monotonic` time, is checked before each crossing."""
 
     def __init__(self, d: Diagram, *, basepoint: int | None = None,
                  max_generators: int | None = None, deadline: float | None = None):
         self.diagram = d
-        self.name = d.name
         self.order = scan_order(d)
-        self._options = dict(basepoint=basepoint, max_generators=max_generators,
-                             deadline=deadline)
+        self.cut_edge = (_pick_basepoint(d, self.order, basepoint)
+                         if d.is_knot and d.crossings else None)
+        self.budget = 400_000 if max_generators is None else max_generators
+        self.deadline = deadline
         self._scan = None
 
-    def final_complex(self, what: str) -> _Scan:
-        """The final complex; ``what`` names the caller in the error
-        raised for a diagram that is not a knot."""
-        if not self.diagram.is_knot:
-            raise ValueError(f"{what} requires a knot diagram")
+    def final_complex(self) -> _Scan:
         if self._scan is None:
-            self._scan = _scan(self.diagram, self.order, **self._options)
+            self._scan = _Scan(self.diagram, self.order, self.cut_edge,
+                               self.budget, self.deadline).run()
         return self._scan
 
 
-def khovanov_ranks(d: Diagram, field: CoefficientField = QQ, reduced: bool = True, *,
-                   basepoint: int | None = None, max_generators: int | None = None,
-                   deadline: float | None = None) -> BigradedRanks:
+def khovanov_ranks(d: Diagram | KnotScan, field: CoefficientField = QQ,
+                   reduced: bool = True) -> BigradedRanks:
     """Bigraded ranks of (reduced or unreduced) Khovanov homology.
 
     Reduced homology is defined for knots; gradings follow the convention
@@ -551,28 +540,29 @@ def khovanov_ranks(d: Diagram, field: CoefficientField = QQ, reduced: bool = Tru
     and positive-crossing diagrams supported in nonnegative homological
     degree.
     """
-    if d.is_knot:
-        red, unred = khovanov_pair(d, field, basepoint=basepoint,
-                                   max_generators=max_generators, deadline=deadline)
+    if not isinstance(d, KnotScan):
+        d = KnotScan(d)
+    if d.diagram.is_knot:
+        red, unred = khovanov_pair(d, field)
         return red if reduced else unred
     if reduced:
         raise ValueError("reduced Khovanov homology requires a knot diagram")
-    scan = _scan(d, max_generators=max_generators, deadline=deadline)
+    scan = d.final_complex()
     table = _homology(_gradings(scan), [(s, t, c) for s, t, c, power
                                         in _entries(scan) if power == 0], field)
-    for _ in range(d.extra_components):
+    for _ in range(d.diagram.extra_components):
         table = _with_circle(table)
     return BigradedRanks(table, False, field)
 
 
-def khovanov_pair(d: Diagram | KnotScan, field: CoefficientField = QQ, *,
-                  basepoint: int | None = None, max_generators: int | None = None,
-                  deadline: float | None = None) -> tuple[BigradedRanks, BigradedRanks]:
+def khovanov_pair(d: Diagram | KnotScan,
+                  field: CoefficientField = QQ) -> tuple[BigradedRanks, BigradedRanks]:
     """(reduced, unreduced) ranks of a knot from a single scan."""
     if not isinstance(d, KnotScan):
-        d = KnotScan(d, basepoint=basepoint, max_generators=max_generators,
-                     deadline=deadline)
-    return _knot_tables(d.final_complex("khovanov_pair"), field)
+        d = KnotScan(d)
+    if not d.diagram.is_knot:
+        raise ValueError("khovanov_pair requires a knot diagram")
+    return _knot_tables(d.final_complex(), field)
 
 
 # ---------------------------------------------------------------------------
@@ -599,21 +589,16 @@ def _homology(gradings: dict, entries, field: CoefficientField) -> dict:
 
     ``gradings`` maps each generator to its (h, q); ``entries`` holds
     (source, target, c) with the target one step up in h at the same q.
-    The differential's rank on each (h, q) block is taken off the
-    generator counts at both ends."""
+    The differential's rank on each (h, q) block, its number of Smith
+    pivots, is taken off the generator counts at both ends."""
     table = Counter(gradings.values())
     blocks: dict = {}
     for s, t, c in entries:
         (h, q), (ht, qt) = gradings[s], gradings[t]
         assert ht == h + 1 and qt == q, "differential leaves its bigrading"
-        blocks.setdefault((h, q), []).append((s, t, c))
-    for (h, q), triples in blocks.items():
-        rows = {t: i for i, t in enumerate(dict.fromkeys(t for _, t, _ in triples))}
-        cols = {s: j for j, s in enumerate(dict.fromkeys(s for s, _, _ in triples))}
-        mat = [[0] * len(cols) for _ in rows]
-        for s, t, c in triples:
-            mat[rows[t]][cols[s]] = c
-        r = field_rank(mat, field.char)
+        blocks.setdefault((h, q), []).append((t, s, c, 0))
+    for (h, q), block in blocks.items():
+        r = len(_monomial_smith(block, field.char))
         table[(h, q)] -= r
         table[(h + 1, q)] -= r
     return {k: v for k, v in table.items() if v}
@@ -656,48 +641,45 @@ def _knot_tables(scan: _Scan, field: CoefficientField):
 # deformation module over A[X]
 
 
-def deformed_module(d: Diagram | KnotScan, field: CoefficientField,
-                    reduced: bool = True, *, basepoint: int | None = None,
-                    max_generators: int | None = None,
-                    deadline: float | None = None) -> DeformedModule:
+def deformed_module(d: Diagram | KnotScan, field: CoefficientField) -> DeformedModule:
     """Invariant factors of the deformed homology as a module over A[X].
 
     Requires char != 2 (the deformation splitting arguments need 2
-    invertible).  The reduced flavour is the module structure on the
-    basepointed complex; it is the one whose X = 0 specialization is the
-    reduced Khovanov complex.  The result also carries the reduced and
-    unreduced tables of the same scan, as :func:`khovanov_pair` returns
-    them.
+    invertible).  This is the module structure on the basepointed complex,
+    the one whose X = 0 specialization is the reduced Khovanov complex.
     """
     if field.char == 2:
         raise ValueError("the A[X] deformation module requires characteristic != 2")
-    if not reduced:
-        raise ValueError("only the reduced (basepointed) module is implemented")
     if not isinstance(d, KnotScan):
-        d = KnotScan(d, basepoint=basepoint, max_generators=max_generators,
-                     deadline=deadline)
-    scan = d.final_complex("deformed module")
+        d = KnotScan(d)
+    if not d.diagram.is_knot:
+        raise ValueError("deformed module requires a knot diagram")
+    scan = d.final_complex()
     # the differential maps degree h to h + 1 only, so one reduction of the
     # whole matrix pivots within each block as separate ones would, and the
     # free rank is what no pivot row or column covers
-    rank, torsion = _monomial_smith([(t, s, c, power) for s, t, c, power
-                                     in _entries(scan)], scan.gens, field.char)
-    free = len(scan.gens) - 2 * rank
+    pivots = _monomial_smith([(t, s, c, power) for s, t, c, power
+                              in _entries(scan)], field.char)
+    free = len(scan.gens) - 2 * len(pivots)
     if free != 1:
         raise RuntimeError(
             f"deformed free rank {free} != 1 for a knot: grading "
             f"convention violation, please report")
-    return DeformedModule(free, tuple(sorted(torsion)), field,
-                          *_knot_tables(scan, field))
+    torsion = []
+    for order, t in pivots:
+        if order >= 1:
+            _, h, q = scan.gens[t]
+            torsion.append((order, q // 2 - h))
+    return DeformedModule(free, tuple(sorted(torsion)), field)
 
 
-def _monomial_smith(entries, gens, p):
+def _monomial_smith(entries, p) -> list:
     """Smith reduction over A[X] (A = F_p, or Q for p = 0) of a graded
     matrix given as (target, source, c, power) for entries c * X^power,
-    with integer c and power >= 0; ``gens`` maps a generator to
-    (matching, h, q).
+    with integer c and power >= 0.
 
-    Returns (rank, [(order, delta_of_target)] for each pivot with order >= 1).
+    Returns (order, target) for each pivot X^order; the number of pivots
+    is the rank.
     """
     mat: dict[tuple, tuple] = {}
     rows: dict = {}
@@ -708,14 +690,10 @@ def _monomial_smith(entries, gens, p):
             mat[(t, s)] = (c, power)
             rows.setdefault(t, set()).add(s)
             cols.setdefault(s, set()).add(t)
-    rank = 0
-    factors = []
+    pivots = []
     while mat:
         (t0, s0), (c0, p0) = min(mat.items(), key=lambda kv: (kv[1][1], kv[0]))
-        rank += 1
-        if p0 >= 1:
-            _, ht, qt = gens[t0]
-            factors.append((p0, qt // 2 - ht))
+        pivots.append((p0, t0))
         inv0 = pow(c0, -1, p) if p else Fraction(1, c0)
         col_others = [(t, mat[(t, s0)]) for t in cols[s0] if t != t0]
         row_others = [(s, mat[(t0, s)]) for s in rows[t0] if s != s0]
@@ -747,4 +725,4 @@ def _monomial_smith(entries, gens, p):
                         rows[t].discard(s)
                     if s in cols:
                         cols[s].discard(t)
-    return rank, factors
+    return pivots

@@ -41,6 +41,7 @@ unless explicitly requested.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import time
@@ -131,16 +132,14 @@ def compute_report(d: Diagram | InvalidDiagram, fields, with_deformed: bool = Fa
         report.arf_consistent = res.consistent
         for f in fields:
             fld = parse_field(f) if isinstance(f, str) else f
+            red, unred = khovanov_pair(knot_scan, fld)
             if with_deformed and fld.char != 2:
                 dm = deformed_module(knot_scan, fld)
-                red, unred = dm.reduced, dm.unreduced
                 report.deformed[fld.name] = {
                     "free": dm.free_rank,
                     "torsion": sorted(a for a, _ in dm.torsion),
                     "xo": dm.x_torsion_order(),
                 }
-            else:
-                red, unred = khovanov_pair(knot_scan, fld)
             if abs(red.delta_euler()) != report.det:
                 raise RuntimeError(
                     f"reduced {fld.name} Euler characteristic "
@@ -181,21 +180,16 @@ def scan(diagrams, fields=DEFAULT_FIELDS, jobs: int = 1,
          with_deformed: bool = False, timeout: float | None = None,
          max_generators: int | None = None) -> list[KnotReport]:
     """One report per diagram, in input order regardless of parallelism."""
-    tasks = [(i, d, tuple(fields), with_deformed, timeout, max_generators)
-             for i, d in enumerate(diagrams)]
-    if jobs <= 1 or len(tasks) <= 1:
-        return [compute_report(d, f, w, t, m) for _, d, f, w, t, m in tasks]
+    diagrams = list(diagrams)
+    run = functools.partial(compute_report, fields=tuple(fields),
+                            with_deformed=with_deformed, timeout=timeout,
+                            max_generators=max_generators)
+    if jobs <= 1 or len(diagrams) <= 1:
+        return [run(d) for d in diagrams]
     import multiprocessing as mp
 
     with mp.Pool(jobs) as pool:
-        indexed = pool.map(_scan_task, tasks)
-    indexed.sort(key=lambda pair: pair[0])
-    return [r for _, r in indexed]
-
-
-def _scan_task(task):
-    i, d, fields, with_deformed, timeout, max_generators = task
-    return i, compute_report(d, fields, with_deformed, timeout, max_generators)
+        return pool.map(run, diagrams)
 
 
 # ---------------------------------------------------------------------------

@@ -59,24 +59,6 @@ def test_kh_deformed(small_file, capsys):
     assert out[2].split("\t")[5:] == ["1", "1,1,1,1", "1"]
 
 
-def test_hfk_alg_file(tmp_path, capsys):
-    from knotrank.hfkalg import complex_a, serialize_complex
-
-    path = tmp_path / "complex.txt"
-    path.write_text(serialize_complex(complex_a()))
-    assert main(["hfk-alg", str(path)]) == 0
-    out = capsys.readouterr().out
-    assert "total\t6" in out
-    assert "delta_euler\t0" in out
-
-
-def test_hfk_alg_check(capsys):
-    assert main(["hfk-alg", "--check-to", "9", "0", "2"]) == 0
-    assert main(["hfk-alg", "--check-to", "9", "0", "1"]) == 1
-    out = capsys.readouterr().out
-    assert "consistent=True" in out and "consistent=False" in out
-
-
 def test_symunion_gen_and_scan(tmp_path, capsys):
     su_path = tmp_path / "su.txt"
     assert main(["symunion", "gen", "--seed", "9", "--count", "2",
@@ -119,3 +101,24 @@ def test_scan_malformed_line_is_one_error_record(tmp_path):
     assert records[1]["error"].startswith("InvalidDiagram: ")
     assert "error" not in records[0] and "error" not in records[2]
     assert records[3]["summary"]["aborted"] == 1
+
+
+@pytest.mark.parametrize("command", (["jones"], ["alexander"], ["arf"],
+                                     ["kh", "--field", "f3"]),
+                         ids=lambda c: c[0])
+def test_malformed_line_keeps_the_others(tmp_path, capsys, command):
+    # a line that does not parse prints its error and a placeholder row in
+    # its place; the lines around it print as they do on their own
+    c = load_corpus()
+    good = tmp_path / "good.txt"
+    good.write_text(f"3_1\t{c['3_1'].pd_text}\n4_1\t{c['4_1'].pd_text}\n")
+    mixed = tmp_path / "mixed.txt"
+    mixed.write_text(f"3_1\t{c['3_1'].pd_text}\nbad\t[[1,2,3]]\n"
+                     f"4_1\t{c['4_1'].pd_text}\n")
+    assert main([command[0], str(good), *command[1:]]) == 0
+    first, last = capsys.readouterr().out.splitlines()
+    assert main([command[0], str(mixed), *command[1:]]) == 2
+    captured = capsys.readouterr()
+    dashes = 4 if command[0] == "kh" else 3
+    assert captured.out.splitlines() == [first, "bad" + "\t-" * dashes, last]
+    assert captured.err.startswith("bad\terror: ")

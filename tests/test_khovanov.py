@@ -12,8 +12,9 @@ from knotrank.corpus import RIBBON_NAMES, load_corpus
 from knotrank.diagram import connected_sum, disjoint_union, mirror, parse_pd
 from knotrank.jones import jones
 from knotrank.khovanov import (DeformedModule, KnotScan, ResourceLimit,
-                               _entries, _monomial_smith, _scan,
-                               deformed_module, khovanov_pair, khovanov_ranks)
+                               _entries, _monomial_smith, deformed_module,
+                               khovanov_pair, khovanov_ranks)
+from knotrank.scanner import compute_report
 
 SMALL_KNOTS = ("3_1", "4_1", "5_1", "6_1", "6_2")
 FIELDS = (QQ, F2, F3)
@@ -133,9 +134,9 @@ def test_reduced_rank_odd_all_fields(corpus):
 def test_basepoint_independence(corpus):
     for name in ("4_1", "6_2"):
         d = corpus[name]
-        tables = {khovanov_ranks(d, F3, basepoint=e).total
+        tables = {khovanov_ranks(KnotScan(d, basepoint=e), F3).total
                   for e in (1, 3, d.edge_count)}
-        ranks = {frozenset(khovanov_ranks(d, F3, basepoint=e).ranks.items())
+        ranks = {frozenset(khovanov_ranks(KnotScan(d, basepoint=e), F3).ranks.items())
                  for e in (1, 3, d.edge_count)}
         assert len(tables) == 1 and len(ranks) == 1, name
     # edge 1, every edge of the order's last crossing, and the default cut
@@ -143,13 +144,13 @@ def test_basepoint_independence(corpus):
     for d in (corpus["19nh_000129633"], corpus["symunion24"], kinked):
         last = d.crossings[scan_order(d)[-1]]
         pairs = {tuple(frozenset(t.ranks.items())
-                       for t in khovanov_pair(d, F3, basepoint=e))
+                       for t in khovanov_pair(KnotScan(d, basepoint=e), F3))
                  for e in (min(d.successor), *set(last), None)}
         assert len(pairs) == 1, d.name
     assert [t.ranks for t in khovanov_pair(kinked, F3)] == \
         [{(0, 0): 1}, {(0, 1): 1, (0, -1): 1}]
     with pytest.raises(ValueError):
-        khovanov_pair(kinked, F3, basepoint=3)
+        khovanov_pair(KnotScan(kinked, basepoint=3), F3)
 
 
 def test_default_cut_work(corpus):
@@ -159,7 +160,7 @@ def test_default_cut_work(corpus):
     d = corpus["18nh_00159590"]
     calls = []
     for e in (None, min(d.successor)):
-        khovanov_ranks(d, F2, basepoint=e)
+        khovanov_ranks(KnotScan(d, basepoint=e), F2)
         info = cycles_of.cache_info()
         calls.append(info.hits + info.misses)
     assert 4 * calls[0] <= calls[1], calls
@@ -186,12 +187,12 @@ def test_deadline_keeps_finished_scan(corpus, monkeypatch):
 
     monkeypatch.setattr(khovanov._Scan, "_fuse", counting_fuse)
     monkeypatch.setattr(khovanov, "time", Clock)
-    assert khovanov_pair(d, F3, deadline=1.0) == expected
+    assert khovanov_pair(KnotScan(d, deadline=1.0), F3) == expected
     assert len(fused) == len(d.crossings)
     # a deadline that has already passed stops the scan before any fuse
     fused.clear()
     with pytest.raises(ResourceLimit):
-        khovanov_pair(d, F3, deadline=-1.0)
+        khovanov_pair(KnotScan(d, deadline=-1.0), F3)
     assert fused == []
 
 
@@ -229,7 +230,7 @@ def test_closed_scan_torus_link_t24():
     # the closed integral scan of T(2,4) keeps an entry 2 (the 2-torsion of
     # Kh over Z), which is a unit over Q and vanishes over F2
     t24 = parse_pd("[[6,1,7,2],[8,3,5,4],[2,5,3,6],[4,7,1,8]]")
-    assert any(abs(c) > 1 for _, _, c, _ in _entries(_scan(t24)))
+    assert any(abs(c) > 1 for _, _, c, _ in _entries(KnotScan(t24).final_complex()))
     for field, total in ((F2, 8), (QQ, 6)):
         t = khovanov_ranks(t24, field, reduced=False)
         assert t.ranks == kh_table(t24, field.char, reduced=False)
@@ -241,10 +242,10 @@ def test_one_scan_serves_every_field(corpus):
     d = corpus["18nh_00159590"]
     knot_scan = KnotScan(d)
     assert any(pw == 0 and abs(c) > 1
-               for _, _, c, pw in _entries(knot_scan.final_complex("test")))
+               for _, _, c, pw in _entries(knot_scan.final_complex()))
     for field in (F2, F3, QQ):
         assert khovanov_pair(knot_scan, field) == khovanov_pair(d, field)
-    assert knot_scan.final_complex("test") is knot_scan.final_complex("test")
+    assert knot_scan.final_complex() is knot_scan.final_complex()
     assert deformed_module(knot_scan, F3) == deformed_module(d, F3)
 
 
@@ -259,9 +260,10 @@ def test_monomial_smith_against_oracle():
         entries = [(t, s, rng.choice((1, -2, 3, 6, 5)), a[t] - b[s])
                    for t in range(len(a)) for s in range(len(b))
                    if a[t] >= b[s] and rng.random() < 0.6]
-        gens = {t: ((), 0, 0) for t in range(len(a))}
         for p in (3, 0):
-            rank, factors = _monomial_smith(entries, gens, p)
+            pivots = _monomial_smith(entries, p)
+            rank = len(pivots)
+            factors = [(order, t) for order, t in pivots if order >= 1]
             mat = [[() for _ in b] for _ in a]
             for t, s, c, power in entries:
                 mat[t][s] = (0,) * power + (c,)
@@ -273,14 +275,14 @@ def test_monomial_smith_against_oracle():
 
 def test_resource_limit(corpus):
     with pytest.raises(ResourceLimit):
-        khovanov_ranks(corpus["18nh_00159590"], F2, max_generators=50)
+        khovanov_ranks(KnotScan(corpus["18nh_00159590"], max_generators=50), F2)
 
 
 def test_budget_counts_fused_size(corpus):
     # after elimination the scan never exceeds 254 generators (121 at the
     # end), but fusing in a crossing reaches 645 before elimination
     with pytest.raises(ResourceLimit):
-        khovanov_ranks(corpus["18nh_00159590"], F2, max_generators=300)
+        khovanov_ranks(KnotScan(corpus["18nh_00159590"], max_generators=300), F2)
 
 
 # -- the deformation module ---------------------------------------------------
@@ -329,10 +331,13 @@ def test_torsion_parity_requires_order_one():
 
 @pytest.mark.parametrize("name", SMALL_KNOTS)
 @pytest.mark.parametrize("field", (F3, QQ), ids=lambda f: f.name)
-def test_deformed_tables_match_pair(corpus, name, field):
-    # the deformed scan's X = 0 tables are the ones khovanov_pair reads
-    dm = deformed_module(corpus[name], field)
-    assert (dm.reduced, dm.unreduced) == khovanov_pair(corpus[name], field)
+def test_deformed_report_keeps_tables(corpus, name, field):
+    # reading the deformed module leaves the report's X = 0 totals as they are
+    plain, deformed = (compute_report(corpus[name], (field,), with_deformed=w)
+                       for w in (False, True))
+    assert plain.error is None and deformed.error is None
+    assert list(deformed.deformed) == [field.name]
+    assert (deformed.reduced, deformed.unreduced) == (plain.reduced, plain.unreduced)
 
 
 def test_deformed_rejects_f2(corpus):
@@ -346,7 +351,7 @@ def test_final_differential_squares_to_zero(corpus):
     # accumulating all length-2 compositions through the cobordism algebra
     for name in ("6_2", "18nh_00159590"):
         d = corpus[name]
-        scan = _scan(d)
+        scan = KnotScan(d).final_complex()
         square: dict = {}
         for s, row in scan.out.items():
             for mid, e1 in row.items():
@@ -387,7 +392,7 @@ FINAL_COMPLEXES = {
 def test_final_complex_pinned(corpus, name):
     # generator ids, the elimination order and every entry of the final
     # complex stay exactly as the term-by-term kernel made them
-    scan = _scan(corpus[name])
+    scan = KnotScan(corpus[name]).final_complex()
     gens = sorted((g, m, h, q) for g, (m, h, q) in scan.gens.items())
     entries = sorted((s, t, sorted(e.items()))
                      for s, row in scan.out.items() for t, e in row.items())

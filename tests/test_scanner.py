@@ -114,7 +114,7 @@ def test_engine_error_isolated(corpus, monkeypatch, exc):
     real = scanner.deformed_module
 
     def failing(d, *args, **kwargs):
-        if d.name == "3_1":
+        if d.diagram.name == "3_1":
             raise exc
         return real(d, *args, **kwargs)
 
@@ -132,7 +132,7 @@ def test_self_check_error_isolated(corpus, monkeypatch):
 
     def padded(d, *args, **kwargs):
         red, unred = real(d, *args, **kwargs)
-        if d.name == "3_1":
+        if d.diagram.name == "3_1":
             ranks = dict(red.ranks)
             ranks[(0, 0)] = ranks.get((0, 0), 0) + 1
             red = BigradedRanks(ranks, True, red.field)
@@ -155,7 +155,7 @@ def test_jones_check_error_isolated(corpus, monkeypatch):
 
     def moved(d, *args, **kwargs):
         red, unred = real(d, *args, **kwargs)
-        if d.name == "3_1":
+        if d.diagram.name == "3_1":
             ranks = dict(red.ranks)
             h, q = min(ranks)
             ranks[(h, q)] -= 1
