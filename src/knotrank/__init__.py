@@ -12,9 +12,8 @@ from .algebra import (F2, F3, F211, QQ, CoefficientField, LaurentPolynomial,
 from .alexander import (ConwayPotential, alexander_polynomial,
                         conway_potential, signed_det)
 from .arf import (ArfResult, arf, arf_from_alexander, arf_from_jones,
-                  arf_from_jones_at_i, arf_from_jones_coeffs,
-                  arf_from_levine)
-from .corpus import corpus_knots, load_corpus
+                  arf_from_jones_at_i, arf_from_levine)
+from .corpus import load_corpus
 from .diagram import (Diagram, InvalidDiagram, connected_sum, crossing_change,
                       disjoint_union, is_planar, mirror, oriented_resolution,
                       parse_diagram_file, parse_diagram_lines, parse_pd)

@@ -94,7 +94,6 @@ class CrossingStep:
     def __init__(self, d: Diagram, ci: int, open_points: set,
                  cut_edge: int | None = None):
         tup = d.crossings[ci]
-        self.index = ci
         oin = d.over_in[ci]
         oin_pos = 3 if d.signs[ci] == 1 else 1
         self.sign = d.signs[ci]
@@ -117,7 +116,6 @@ class CrossingStep:
                 kinds.append(("close", e))
             else:
                 kinds.append(("new", e))
-        self.point_ids = ids
         self.slot_kind = kinds
 
     def next_points(self, open_points: set) -> set:
@@ -135,78 +133,66 @@ def merge_matching(matching: tuple, step: CrossingStep, arcs: tuple):
     """Attach the two local smoothing arcs to a matching.
 
     ``matching`` is a sorted tuple of (p, q) pairs with p < q over the open
-    points.  Returns ``(new_matching, circles, constituents)`` where
-    ``circles`` is the number of closed loops formed and ``constituents``
-    maps each new arc (keyed by its sorted endpoint pair) and each circle
-    (keyed by ('circle', k)) to the list of building blocks traversed:
-    ('old', (p, q)) for an arc of the input matching and ('loc', i) for
-    local arc i.
+    points.  Returns ``(new_matching, circles)``: the sorted pairs joined
+    by the new strands, and one local-arc index per closed loop, naming an
+    arc the loop runs through.  Loops through closing old points come
+    first, in matching order, then loops of local arcs alone, in arc
+    order; cap ids, and so generator ids, follow this order.
+
+    A walk crosses the local arc at a slot, and then follows that slot's
+    edge: a new point ends the strand, a pair edge leads to its other
+    slot, and a closing point leads along its old arc to the partner,
+    which either stays open (the strand ends there) or closes at a slot.
     """
-    # adjacency: vertex -> list of (arc_key, other_vertex)
-    adj: dict = {}
-
-    def add(u, v, key):
-        adj.setdefault(u, []).append((key, v))
-        adj.setdefault(v, []).append((key, u))
-
-    for (p, q) in matching:
-        add(("P", p), ("P", q), ("old", (p, q)))
+    partner = {}
+    for p, q in matching:
+        partner[p] = q
+        partner[q] = p
+    slot_of = {v: pos for pos, (kind, v) in enumerate(step.slot_kind)
+               if kind == "close"}
+    across = {}     # slot -> (other slot, local arc index)
     for i, (x, y) in enumerate(arcs):
-        add(("S", x), ("S", y), ("loc", i))
-    # connectors: identify slot vertices with point vertices
-    seen_pairs = set()
-    for pos in range(4):
-        kind, v = step.slot_kind[pos]
-        if kind == "close":
-            add(("S", pos), ("P", v), ("glue", pos))
-        elif kind == "new":
-            add(("S", pos), ("N", pos), ("glue", pos))
-        else:  # pair
-            j = v
-            if (min(pos, j), max(pos, j)) not in seen_pairs:
-                seen_pairs.add((min(pos, j), max(pos, j)))
-                add(("S", pos), ("S", j), ("pairglue", pos))
+        across[x] = (y, i)
+        across[y] = (x, i)
+    used = [False] * len(arcs)
 
-    ends = [u for u, lst in adj.items() if len(lst) == 1]
-    used = set()
-    new_pairs = []
-    constituents: dict = {}
-
-    def walk(start):
-        path = []
-        u = start
-        prev_key = None
+    def walk(pos):
+        # the open point the strand from slot pos ends on, or None when
+        # it runs back into an arc it crossed: a loop
         while True:
-            options = [kv for kv in adj[u] if kv[0] not in used]
-            if not options:
-                return u, path
-            key, v = options[0]
-            used.add(key)
-            if key[0] in ("old", "loc"):
-                path.append(key)
-            u = v
+            pos, i = across[pos]
+            if used[i]:
+                return None
+            used[i] = True
+            kind, v = step.slot_kind[pos]
+            if kind == "new":
+                return v
+            if kind == "pair":
+                pos = v
+                continue
+            v = partner[v]
+            if v not in slot_of:
+                return v
+            pos = slot_of[v]
 
-    for u in ends:
-        if any(kv[0] not in used for kv in adj[u]):
-            v, path = walk(u)
-            pu = _point_of(u, step)
-            pv = _point_of(v, step)
-            pair = (min(pu, pv), max(pu, pv))
-            new_pairs.append(pair)
-            constituents[pair] = path
-    circles = 0
-    for u in adj:
-        while any(kv[0] not in used for kv in adj[u]):
-            _, path = walk(u)
-            constituents[("circle", circles)] = path
-            circles += 1
-    return tuple(sorted(new_pairs)), circles, constituents
-
-
-def _point_of(vertex, step: CrossingStep):
-    tag, v = vertex
-    if tag == "P":
-        return v
-    if tag == "N":
-        return step.point_ids[v]
-    raise AssertionError(f"dangling slot vertex {vertex}")
+    new_pairs = []
+    ended = set()
+    for pos, (kind, v) in enumerate(step.slot_kind):
+        if kind == "new" and v not in ended:
+            end = walk(pos)
+            ended.add(end)
+            new_pairs.append((min(v, end), max(v, end)))
+    for p, q in matching:
+        for a, b in ((p, q), (q, p)):
+            if a not in slot_of and a not in ended:
+                end = walk(slot_of[b]) if b in slot_of else b
+                ended.add(end)
+                new_pairs.append((min(a, end), max(a, end)))
+    circles = []
+    closing = [slot_of[p] for p, _ in matching if p in slot_of]
+    for pos in closing + [x for x, _ in arcs]:
+        i = across[pos][1]
+        if not used[i]:
+            circles.append(i)
+            walk(pos)
+    return tuple(sorted(new_pairs)), tuple(circles)

@@ -79,38 +79,24 @@ def _fox_rows(d: Diagram, arcs: dict, arc_index: dict):
     return rows
 
 
-def _minor_det_poly(d: Diagram, drop_col: int) -> LaurentPolynomial:
-    arcs = _arcs(d)
-    reps = sorted(set(arcs.values()))
-    arc_index = {r: i for i, r in enumerate(reps)}
-    n = len(d.crossings)
-    rows = _fox_rows(d, arcs, arc_index)
-    return _bareiss_det([[row[j] for j in range(n) if j != drop_col]
-                         for row in rows[:-1]])
-
-
-class DegeneratePresentation(ValueError):
-    """Every tried Wirtinger minor vanished or failed to normalize."""
-
-
 def alexander_polynomial(d: Diagram) -> LaurentPolynomial:
     """The Conway-normalized Alexander polynomial of a knot diagram:
-    symmetric under t -> 1/t and equal to 1 at t = 1."""
+    symmetric under t -> 1/t and equal to 1 at t = 1.
+
+    Every Fox row sums to zero, so the minors that drop one column of
+    the first n - 1 rows agree up to sign; the last column is dropped."""
     if not d.is_knot:
         raise ValueError("Alexander polynomial implemented for knots only")
     n = len(d.crossings)
     if n == 0:
         return LaurentPolynomial.one()
-    last_error = None
-    for drop_col in range(n - 1, -1, -1):
-        p = _minor_det_poly(d, drop_col)
-        if not p:
-            continue
-        try:
-            return _conway_normalize(p)
-        except ValueError as exc:  # try a different deleted generator
-            last_error = exc
-    raise DegeneratePresentation(f"no usable Wirtinger minor: {last_error}")
+    arcs = _arcs(d)
+    arc_index = {r: i for i, r in enumerate(sorted(set(arcs.values())))}
+    rows = _fox_rows(d, arcs, arc_index)
+    p = _bareiss_det([row[:-1] for row in rows[:-1]])
+    if not p:
+        raise ValueError("Wirtinger minor vanishes")
+    return _conway_normalize(p)
 
 
 def _conway_normalize(p: LaurentPolynomial) -> LaurentPolynomial:

@@ -178,9 +178,6 @@ class LaurentPolynomial:
             out[e // 2] = c
         return LaurentPolynomial(out)
 
-    def t_to_q(self) -> "LaurentPolynomial":
-        return LaurentPolynomial({2 * e: c for e, c in self.coeffs.items()})
-
     def evaluate(self, x):
         """Evaluate at an exact scalar (int or Fraction); exact result.
 

@@ -67,17 +67,6 @@ def arf_from_jones(v: JonesPolynomial) -> int:
     return _class_to_arf(QuotientClass.from_laurent(v.in_t()), "Jones polynomial")
 
 
-def arf_from_jones_coeffs(v: JonesPolynomial) -> int:
-    """Sum of the Jones coefficients c_i over i = 1 mod 4, taken mod 2;
-    checked against the matching sum over i = -1 mod 4."""
-    c = v.in_t().coeffs
-    s1 = sum(cv for e, cv in c.items() if e % 4 == 1) % 2
-    s3 = sum(cv for e, cv in c.items() if e % 4 == 3) % 2
-    if s1 != s3:
-        raise ValueError("coefficient sums over i=1 and i=-1 (mod 4) disagree mod 2")
-    return s1
-
-
 def arf_from_jones_at_i(value: tuple) -> int:
     """V_K(i) = (-1)^Arf for a knot; value in the basis (1, i, sqrt2, i*sqrt2)."""
     if value == (1, 0, 0, 0):

@@ -64,22 +64,18 @@ class Diagram:
         return self._trace[0]
 
     @property
-    def component_of_edge(self) -> dict:
-        return self._trace[1]
-
-    @property
     def successor(self) -> dict:
         """Next edge label along the orientation."""
-        return self._trace[2]
+        return self._trace[1]
 
     @property
     def over_in(self) -> tuple[int, ...]:
         """Incoming over-strand edge of each crossing."""
-        return self._trace[3]
+        return self._trace[2]
 
     @property
     def signs(self) -> tuple[int, ...]:
-        return self._trace[4]
+        return self._trace[3]
 
     @property
     def n_components(self) -> int:
@@ -187,11 +183,9 @@ def _trace_structure(crossings):
     components.sort(key=lambda c: c[0])
     components = tuple(components)
 
-    comp_of = {}
     succ = {}
-    for k, comp in enumerate(components):
+    for comp in components:
         for j, e in enumerate(comp):
-            comp_of[e] = k
             succ[e] = comp[(j + 1) % len(comp)]
 
     # the under-strand must run from position 0 to position 2
@@ -254,7 +248,7 @@ def _trace_structure(crossings):
             signs.append(1)
         else:
             signs.append(-1)
-    return components, comp_of, succ, tuple(over_in), tuple(signs)
+    return components, succ, tuple(over_in), tuple(signs)
 
 
 # ---------------------------------------------------------------------------
@@ -486,24 +480,27 @@ def connected_sum(d1: Diagram, d2: Diagram, e1: int | None = None,
     for tup, oin in _records(d2):
         recs.append((tuple(e + shift for e in tup), oin))
     e2s = e2 + shift
-
-    # heads: position 0 (under-in) or the over-in position
-    def head_slot(recs, edge):
-        for k, (tup, oin_pos) in enumerate(recs):
-            for pos, e in enumerate(tup):
-                if e == edge and (pos == 0 or pos == oin_pos):
-                    return k, pos
-        raise AssertionError(f"no head slot for edge {edge}")
-
-    k1, p1 = head_slot(recs, e1)
-    k2, p2 = head_slot(recs, e2s)
-    t1 = list(recs[k1][0])
-    t1[p1] = e2s
-    recs[k1] = (tuple(t1), recs[k1][1])
-    t2 = list(recs[k2][0])
-    t2[p2] = e1
-    recs[k2] = (tuple(t2), recs[k2][1])
+    _reroute_heads(recs, {e1: e2s, e2s: e1})
     return _assemble(recs, 0, name)
+
+
+def _head_slot(recs, edge) -> tuple[int, int]:
+    """(record index, position) where ``edge`` runs into a crossing:
+    position 0 (under-in) or the over-in position."""
+    for k, (tup, oin_pos) in enumerate(recs):
+        for pos, e in enumerate(tup):
+            if e == edge and (pos == 0 or pos == oin_pos):
+                return k, pos
+    raise AssertionError(f"no head slot for edge {edge}")
+
+
+def _reroute_heads(recs, labels: dict) -> None:
+    """Relabel each edge of ``labels`` at its head slot, in place.  Every
+    slot is found before any is rewritten, so edges may swap labels."""
+    slots = [(_head_slot(recs, e), new) for e, new in labels.items()]
+    for (k, pos), new in slots:
+        tup, oin_pos = recs[k]
+        recs[k] = (tup[:pos] + (new,) + tup[pos + 1:], oin_pos)
 
 
 def disjoint_union(d1: Diagram, d2: Diagram) -> Diagram:

@@ -29,12 +29,6 @@ class JonesPolynomial:
     poly: LaurentPolynomial
     writhe_used: int
 
-    def q_parity(self) -> int:
-        parities = {e % 2 for e in self.poly.coeffs}
-        if len(parities) > 1:
-            raise ValueError("mixed q-exponent parity")
-        return parities.pop() if parities else 0
-
     def in_t(self) -> LaurentPolynomial:
         return self.poly.q_to_t()
 
@@ -57,9 +51,9 @@ def kauffman_bracket(d: Diagram, order: list[int] | None = None) -> LaurentPolyn
             for arcs, exp in ((ARCS_0, 1), (ARCS_1, -1)):
                 key = (matching, exp)
                 if key not in merged_cache:
-                    new_matching, circles, _ = merge_matching(matching, step, arcs)
+                    new_matching, circles = merge_matching(matching, step, arcs)
                     weight = LaurentPolynomial.monomial(1, exp)
-                    for _ in range(circles):
+                    for _ in circles:
                         weight = weight * _DELTA_A
                     merged_cache[key] = (new_matching, weight)
                 new_matching, weight = merged_cache[key]

@@ -12,10 +12,16 @@ pivot is its own inverse, so the scan needs no division and runs over
 the integers; entries with any other integer (2, 3, ...) stay in the
 complex.
 
-Fusing a crossing and composing entries read per-template tables, built
-once per step: the packed expansion of each dot mask (for fusing, for
-every label pair of the new circles), so an entry term only adds its
-t-power and scales by its coefficient.  The output masks of one expansion
+Fusing a crossing extends each old entry m1 -> m2 to both smoothings r
+of the crossing, and adds each generator's saddle, which is the identity
+entry of its matching from smoothing 0 to smoothing 1.  Every new entry
+is thus the image of an old one under one glued cobordism, built once
+per (m1, m2, r1, r2): the cycles of m1 u m2, glued to a band per local
+arc (r1 == r2) or to one saddle piece (r1 != r2), with a cap on each new
+circle.  Fusing and composing read per-template tables, built once per
+step: the packed expansion of each dot mask (for fusing, for every label
+pair of the new circles), so an entry term only adds its t-power and
+scales by its coefficient.  The output masks of one expansion
 are distinct (each output cycle lies on one glued component), so the
 image of a single term, or the composite of two, cannot cancel and is
 built directly; only entries of several terms accumulate and cancel.
@@ -62,6 +68,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import chain
 
 from ._tangle import ARCS_0, ARCS_1, CrossingStep, merge_matching, scan_order
 from .algebra import QQ, CoefficientField, LaurentPolynomial
@@ -190,6 +197,8 @@ class _Scan:
 
     def _fuse(self, step: CrossingStep):
         shifts = _SHIFTS[step.sign]
+        new_slot = {v: pos for pos, (kind, v) in enumerate(step.slot_kind)
+                    if kind == "new"}
 
         @cache
         def merged(match, r):
@@ -205,111 +214,88 @@ class _Scan:
         for gid, (match, h, q) in old_gens.items():
             ids[gid] = by_r = []
             for r in (0, 1):
-                nm, ncirc, _ = merged(match, r)
+                nm, circles = merged(match, r)
                 dh, dq = shifts[r]
                 by_r.append(tuple(
-                    self._new_gen(nm, h + dh, q + dq + ncirc - 2 * lam.bit_count())
-                    for lam in range(1 << ncirc)))
+                    self._new_gen(nm, h + dh, q + dq + len(circles) - 2 * lam.bit_count())
+                    for lam in range(1 << len(circles))))
 
         @cache
-        def ext_template(m1, m2, r):
-            return self._build_ext_template(m1, m2, r, step, merged)
+        def template(m1, m2, r1, r2):
+            # the cycles of m1 u m2, glued at the crossing to a band per
+            # local arc (r1 == r2) or to one saddle piece (r1 != r2)
+            n, pc = cycles_of(m1, m2)
+            local = (n, n + 1) if r1 == r2 else (n, n)
+            piece = {}      # slot -> local piece
+            for i, (x, y) in enumerate(ARCS_0 if r1 == 0 else ARCS_1):
+                piece[x] = piece[y] = local[i]
+            contacts = []
+            for pos, (kind, v) in enumerate(step.slot_kind):
+                if kind == "close":
+                    contacts.append((piece[pos], pc[v]))
+                elif kind == "pair" and pos < v:
+                    contacts.append((piece[pos], piece[v]))
+            nm1, circles1 = merged(m1, r1)
+            nm2, circles2 = merged(m2, r2)
+            boundary = []
+            if nm1:
+                # an out cycle lies on the piece of its smallest point: an
+                # old open point's cycle, or a new point's local piece
+                _, pc_out = cycles_of(nm1, nm2)
+                smallest = {}
+                for p in sorted(pc_out):
+                    smallest.setdefault(pc_out[p], p)
+                for cyc, p in smallest.items():
+                    boundary.append((pc[p] if p in pc else piece[new_slot[p]],
+                                     ("out", cyc)))
+            # a new circle lies on the piece of a local arc it runs through
+            for k, i in enumerate(circles1 + circles2):
+                boundary.append((local[i], ("cap", k)))
+            n_pieces = local[1] + 1
+            return Glue(n_pieces, contacts, boundary), len(circles1), len(circles2)
 
         @cache
-        def ext_table(m1, m2, r, mask):
-            # dot mask ``mask`` from m1 to m2, extended per new label pair
-            tmpl, nc1, nc2 = ext_template(m1, m2, r)
-            return tuple((lam1, lam2, _packed(tmpl.expand(mask, caps)))
+        def table(m1, m2, r1, r2, mask):
+            # dot mask ``mask`` from m1 to m2, expanded per new label pair
+            glue, nc1, nc2 = template(m1, m2, r1, r2)
+            return tuple((lam1, lam2, _packed(glue.expand(mask, caps)))
                          for lam1, lam2, caps in _capdots(nc1, nc2))
 
-        # extended old entries: an entry term (t-power tp, dots mask, coeff)
-        # adds tp to every key of the mask's table and scales it by coeff
-        for g1, row in old_out.items():
-            m1 = old_gens[g1][0]
-            ids1 = ids[g1]
-            for g2, entry in row.items():
-                m2 = old_gens[g2][0]
-                ids2 = ids[g2]
-                for r in (0, 1):
-                    src, tgt = ids1[r], ids2[r]
-                    if len(entry) == 1:
-                        # the keys of one expansion are distinct, so a single
-                        # term's image is built directly: nothing can cancel
-                        [(key, coeff)] = entry.items()
-                        tbits = key & ~_MASK
-                        for lam1, lam2, terms in ext_table(m1, m2, r, key & _MASK):
-                            self._set_entry(src[lam1], tgt[lam2],
-                                            {k + tbits: coeff * m for k, m in terms})
-                        continue
-                    # several terms: their images may cancel
-                    tables = [(key & ~_MASK, coeff, ext_table(m1, m2, r, key & _MASK))
-                              for key, coeff in entry.items()]
-                    for i, (lam1, lam2, _) in enumerate(tables[0][2]):
-                        acc: dict = {}
-                        for tbits, coeff, table in tables:
-                            for k, m in table[i][2]:
-                                k3 = k + tbits
-                                c3 = acc.get(k3, 0) + coeff * m
-                                if c3:
-                                    acc[k3] = c3
-                                else:
-                                    acc.pop(k3, None)
-                        self._set_entry(src[lam1], tgt[lam2], acc)
-
-        @cache
-        def saddle_table(match):
-            tmpl, nc0, nc1 = self._build_saddle_template(match, step, merged)
-            return tuple((lam0, lam1, _packed(tmpl.expand(0, caps)))
-                         for lam0, lam1, caps in _capdots(nc0, nc1))
-
-        # saddle entries, each one expansion times the sign (-1)^h
-        for gid, (match, h, q) in old_gens.items():
-            sign = -1 if h % 2 else 1
-            src, tgt = ids[gid]
-            for lam0, lam1, terms in saddle_table(match):
-                self._set_entry(src[lam0], tgt[lam1], {k: sign * m for k, m in terms})
-
-    def _build_ext_template(self, m1, m2, r, step, merged):
-        arcs = ARCS_0 if r == 0 else ARCS_1
-        m12, pc12 = cycles_of(m1, m2)
-        band_of = {}
-        for i, (u, v) in enumerate(arcs):
-            band_of[u] = m12 + i
-            band_of[v] = m12 + i
-        contacts = []
-        for pos in range(4):
-            kind, val = step.slot_kind[pos]
-            if kind == "close":
-                contacts.append((band_of[pos], pc12[val]))
-            elif kind == "pair" and pos < val:
-                contacts.append((band_of[pos], band_of[val]))
-        nm1, nc1, cons1 = merged(m1, r)
-        nm2, nc2, cons2 = merged(m2, r)
-        loc_pieces = (m12, m12 + 1)
-        boundary = []
-        _out_boundary(boundary, nm1, nm2, cons1, pc12, loc_pieces)
-        _cap_boundary(boundary, nc1, cons1, pc12, loc_pieces, 0)
-        _cap_boundary(boundary, nc2, cons2, pc12, loc_pieces, nc1)
-        return Glue(m12 + 2, contacts, boundary), nc1, nc2
-
-    def _build_saddle_template(self, match, step, merged):
-        n_arcs, pcm = cycles_of(match, match)
-        saddle = n_arcs
-        contacts = []
-        for pos in range(4):
-            kind, val = step.slot_kind[pos]
-            if kind == "close":
-                contacts.append((pcm[val], saddle))
-            elif kind == "pair" and pos < val:
-                contacts.append((saddle, saddle))
-        nm0, nc0, cons0 = merged(match, 0)
-        nm1, nc1, cons1 = merged(match, 1)
-        loc_pieces = (saddle, saddle)
-        boundary = []
-        _out_boundary(boundary, nm0, nm1, cons0, pcm, loc_pieces)
-        _cap_boundary(boundary, nc0, cons0, pcm, loc_pieces, 0)
-        _cap_boundary(boundary, nc1, cons1, pcm, loc_pieces, nc0)
-        return Glue(n_arcs + 1, contacts, boundary), nc0, nc1
+        # each old entry extends once per smoothing; then each generator's
+        # saddle is the identity entry from smoothing 0 to smoothing 1 (this
+        # order of the new entries fixes the elimination order)
+        extended = ((g1, g2, entry, r, r) for g1, row in old_out.items()
+                    for g2, entry in row.items() for r in (0, 1))
+        saddles = ((g, g, {0: -1 if h % 2 else 1}, 0, 1)
+                   for g, (_, h, _) in old_gens.items())
+        for g1, g2, entry, r1, r2 in chain(extended, saddles):
+            m1, m2 = old_gens[g1][0], old_gens[g2][0]
+            src, tgt = ids[g1][r1], ids[g2][r2]
+            # an entry term (t-power tp, dots mask, coeff) adds tp to every
+            # key of the mask's table and scales it by coeff
+            if len(entry) == 1:
+                # the keys of one expansion are distinct, so a single
+                # term's image is built directly: nothing can cancel
+                [(key, coeff)] = entry.items()
+                tbits = key & ~_MASK
+                for lam1, lam2, terms in table(m1, m2, r1, r2, key & _MASK):
+                    self._set_entry(src[lam1], tgt[lam2],
+                                    {k + tbits: coeff * m for k, m in terms})
+                continue
+            # several terms: their images may cancel
+            tables = [(key & ~_MASK, coeff, table(m1, m2, r1, r2, key & _MASK))
+                      for key, coeff in entry.items()]
+            for i, (lam1, lam2, _) in enumerate(tables[0][2]):
+                acc: dict = {}
+                for tbits, coeff, terms in tables:
+                    for k, m in terms[i][2]:
+                        k3 = k + tbits
+                        c3 = acc.get(k3, 0) + coeff * m
+                        if c3:
+                            acc[k3] = c3
+                        else:
+                            acc.pop(k3, None)
+                self._set_entry(src[lam1], tgt[lam2], acc)
 
     # -- Gaussian elimination --------------------------------------------------
 
@@ -436,34 +422,6 @@ class _ExpansionTable(dict):
     def __missing__(self, dots):
         terms = self[dots] = _packed(self.glue.expand(dots))
         return terms
-
-
-def _out_boundary(boundary, nm1, nm2, cons1, pc_old, loc_pieces):
-    """Assign each cycle of the new matching pair to a surface piece."""
-    if not nm1 and not nm2:
-        return
-    m3, pc3 = cycles_of(nm1, nm2)
-    partner1 = {}
-    for p, q in nm1:
-        partner1[p] = q
-        partner1[q] = p
-    placed = set()
-    for p in sorted(pc3):
-        cyc = pc3[p]
-        if cyc in placed:
-            continue
-        placed.add(cyc)
-        pair = (min(p, partner1[p]), max(p, partner1[p]))
-        first = cons1[pair][0]
-        piece = pc_old[first[1][0]] if first[0] == "old" else loc_pieces[first[1]]
-        boundary.append((piece, ("out", cyc)))
-
-
-def _cap_boundary(boundary, ncirc, cons, pc_old, loc_pieces, base):
-    for k in range(ncirc):
-        first = cons[("circle", k)][0]
-        piece = pc_old[first[1][0]] if first[0] == "old" else loc_pieces[first[1]]
-        boundary.append((piece, ("cap", base + k)))
 
 
 @cache

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import random
 
-from .diagram import Diagram, InvalidDiagram, _assemble, _records, is_planar
+from .diagram import (Diagram, InvalidDiagram, _assemble, _records,
+                      _reroute_heads, is_planar)
 
 
 class SymmetricUnionError(InvalidDiagram):
@@ -75,11 +76,9 @@ def symmetric_union(d: Diagram, twists) -> Diagram:
             R[j - 1] = fresh
             fresh += 1
         if m % 2:
-            recs = _reroute_head(recs, e_mirror, L[m])
-            recs = _reroute_head(recs, e, R[0])
+            _reroute_heads(recs, {e_mirror: L[m], e: R[0]})
         else:
-            recs = _reroute_head(recs, e, L[m])
-            recs = _reroute_head(recs, e_mirror, R[0])
+            _reroute_heads(recs, {e: L[m], e_mirror: R[0]})
     else:
         # seed is the crossingless unknot: each half is a bare arc, so the
         # channel strands tie directly into each other at both ends
@@ -115,20 +114,6 @@ def symmetric_union(d: Diagram, twists) -> Diagram:
             f"twist total {m} is even: the union closes into "
             f"{out.n_components} components, not a knot")
     return out
-
-
-def _reroute_head(recs, edge, new_label):
-    """Replace ``edge`` by ``new_label`` at its head slot (incoming into a
-    crossing: position 0 or the over-in position)."""
-    for k, (tup, oin_pos) in enumerate(recs):
-        for pos, ee in enumerate(tup):
-            if ee == edge and (pos == 0 or pos == oin_pos):
-                t2 = list(tup)
-                t2[pos] = new_label
-                out = list(recs)
-                out[k] = (tuple(t2), oin_pos)
-                return out
-    raise AssertionError(f"no head slot found for edge {edge}")
 
 
 # ---------------------------------------------------------------------------

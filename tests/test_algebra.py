@@ -8,6 +8,11 @@ from knotrank.algebra import (F2, F3, F211, QQ, CoefficientField,
                               zeta8_to_iroot2)
 
 
+def t_to_q(p: LaurentPolynomial) -> LaurentPolynomial:
+    """Substitute t = q^2."""
+    return LaurentPolynomial({2 * e: c for e, c in p.coeffs.items()})
+
+
 def rand_poly(rng, span=5, coeff=9):
     return LaurentPolynomial({e: rng.randint(-coeff, coeff)
                               for e in range(-span, span)})
@@ -59,7 +64,7 @@ def test_q_t_conversion():
     assert p.q_to_t() == LaurentPolynomial({-1: 3, 2: 1})
     with pytest.raises(ValueError):
         LaurentPolynomial({1: 1}).q_to_t()
-    assert p.q_to_t().t_to_q() == p
+    assert t_to_q(p.q_to_t()) == p
 
 
 def test_fields():

@@ -3,8 +3,7 @@ import pytest
 from knotrank.algebra import LaurentPolynomial, QuotientClass
 from knotrank.alexander import alexander_polynomial
 from knotrank.arf import (arf, arf_from_alexander, arf_from_jones,
-                          arf_from_jones_at_i, arf_from_jones_coeffs,
-                          arf_from_levine)
+                          arf_from_jones_at_i, arf_from_levine)
 from knotrank.corpus import load_corpus
 from knotrank.diagram import (Diagram, crossing_change, disjoint_union,
                               oriented_resolution)
@@ -28,14 +27,31 @@ def link_class_from_jones(v: JonesPolynomial) -> int:
     raise ValueError(f"t^(1/2) V reduces to {cls!r}, outside both linking cosets")
 
 
+def arf_from_jones_coeffs(v: JonesPolynomial) -> int:
+    """Sum of the Jones coefficients c_i over i = 1 mod 4, taken mod 2;
+    checked against the matching sum over i = -1 mod 4."""
+    c = v.in_t().coeffs
+    s1 = sum(cv for e, cv in c.items() if e % 4 == 1) % 2
+    s3 = sum(cv for e, cv in c.items() if e % 4 == 3) % 2
+    if s1 != s3:
+        raise ValueError("coefficient sums over i=1 and i=-1 (mod 4) disagree mod 2")
+    return s1
+
+
+def component_of_edge(d: Diagram) -> dict:
+    """Index of the component (in ``d.components``) of each edge."""
+    return {e: k for k, comp in enumerate(d.components) for e in comp}
+
+
 def linking_number(d: Diagram) -> int:
     """Half the signed count of crossings between the two components."""
     if d.n_components != 2:
         raise ValueError("linking number needs exactly 2 components")
+    comp_of = component_of_edge(d)
     total = 0
     for ci, (a, b, c, dd) in enumerate(d.crossings):
-        comp_under = d.component_of_edge[a]
-        comp_over = d.component_of_edge[d.over_in[ci]]
+        comp_under = comp_of[a]
+        comp_over = comp_of[d.over_in[ci]]
         if comp_under != comp_over:
             total += d.signs[ci]
     assert total % 2 == 0

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -205,6 +206,29 @@ def test_connected_sum_multiplicativity(corpus):
             assert khovanov_ranks(s, field).total == t1 * t2
 
 
+@pytest.mark.parametrize("field", (F2, F3), ids=lambda f: f.name)
+def test_mirror_duality_18_crossings(corpus, field):
+    # over a field the reduced table of the mirror is the table at (-h, -q)
+    d = corpus["18nh_00159590"]
+    table = khovanov_ranks(d, field).ranks
+    assert khovanov_ranks(mirror(d), field).ranks == \
+        {(-h, -q): r for (h, q), r in table.items()}
+
+
+@pytest.mark.parametrize("field", (F2, F3), ids=lambda f: f.name)
+def test_kunneth_21_crossings(corpus, field):
+    # over a field the reduced table of K1 # K2 is the convolution of the
+    # two tables: ranks multiply and gradings add
+    k1, k2 = corpus["18nh_00159590"], corpus["3_1"]
+    want = Counter()
+    for (h1, q1), r1 in khovanov_ranks(k1, field).ranks.items():
+        for (h2, q2), r2 in khovanov_ranks(k2, field).ranks.items():
+            want[(h1 + h2, q1 + q2)] += r1 * r2
+    s = connected_sum(k1, k2)
+    assert len(s.crossings) == 21
+    assert khovanov_ranks(s, field).ranks == dict(want)
+
+
 def test_square_knot_rank_9(corpus):
     sq = connected_sum(corpus["3_1"], mirror(corpus["3_1"]))
     for field in (QQ, F2, F3, CoefficientField(211)):
@@ -387,6 +411,17 @@ FINAL_COMPLEXES = {
             "6a68f90be6ba996cdeff6cf7c9dc916e", 75),
 }
 
+# cycles_of (calls, misses) of each pinned scan, at most: the digests do
+# not show a fuse template rebuilt per dot mask, these counters do
+CYCLES_OF_WORK = {
+    "18nh_00159590": (1178, 186),
+    "18nh_00752242": (1462, 227),
+    "19nh_000129633": (1976, 352),
+    "19nh_000305767": (5994, 858),
+    "symunion24": (2496, 393),
+    "6_2": (81, 17),
+}
+
 
 @pytest.mark.parametrize("name", (*RIBBON_NAMES, "6_2"))
 def test_final_complex_pinned(corpus, name):
@@ -398,3 +433,7 @@ def test_final_complex_pinned(corpus, name):
                      for s, row in scan.out.items() for t, e in row.items())
     digest = hashlib.sha256(repr((gens, entries, scan.next_gid)).encode())
     assert (digest.hexdigest(), scan.next_gid) == FINAL_COMPLEXES[name]
+    # the scan cleared the cache when it started
+    info = cycles_of.cache_info()
+    calls, misses = CYCLES_OF_WORK[name]
+    assert info.hits + info.misses <= calls and info.misses <= misses
