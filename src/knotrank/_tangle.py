@@ -21,55 +21,64 @@ ARCS_1 = ((0, 3), (1, 2))
 def scan_order(d: Diagram) -> list[int]:
     """Order the crossings greedily so the open boundary stays small.
 
-    Every starting crossing is tried; the order with the smallest peak
-    boundary (ties: smallest total) wins.
+    After each crossing the next one is the unscanned crossing with the
+    most slots on open edges (ties: smallest index), or, when none touches
+    an open edge, the first unscanned crossing.  Every starting crossing
+    is tried; the order with the smallest peak boundary (ties: smallest
+    total) wins.
     """
     n = len(d.crossings)
     if n == 0:
         return []
-    incident: dict[int, list[int]] = {}
+    incident: dict[int, list[int]] = {}     # edge -> crossing per slot
     for ci, tup in enumerate(d.crossings):
         for e in tup:
             incident.setdefault(e, []).append(ci)
+    # per crossing: each edge with one end there, and the crossings at its
+    # other end (an edge with both ends at one crossing never opens)
+    ends = [[(e, [cj for cj in incident[e] if cj != ci])
+             for e in set(tup) if tup.count(e) == 1]
+            for ci, tup in enumerate(d.crossings)]
 
     def simulate(start: int):
         open_edges: set[int] = set()
         done = [False] * n
+        # open_slots[cj]: slots of cj on open edges; ranked[k]: the
+        # unscanned crossings with k >= 1 such slots
+        open_slots = [0] * n
+        ranked = [set() for _ in range(5)]
         order = []
         peak = total = 0
         cur = start
         for _ in range(n):
             done[cur] = True
+            ranked[open_slots[cur]].discard(cur)
             order.append(cur)
-            tup = d.crossings[cur]
-            for e in set(tup):
-                cnt = tup.count(e)
-                if cnt == 2:
-                    open_edges.discard(e)  # both ends here
-                elif e in open_edges:
+            for e, others in ends[cur]:
+                if e in open_edges:
                     open_edges.remove(e)
+                    delta = -1
                 else:
                     open_edges.add(e)
+                    delta = 1
+                for cj in others:
+                    if not done[cj]:
+                        k = open_slots[cj]
+                        ranked[k].discard(cj)
+                        open_slots[cj] = k = k + delta
+                        if k:
+                            ranked[k].add(cj)
             peak = max(peak, len(open_edges))
             total += len(open_edges)
-            # next: maximize closing slots, then smallest index
-            best = None
-            for e in open_edges:
-                for cj in incident[e]:
-                    if done[cj]:
-                        continue
-                    s = sum(1 for x in d.crossings[cj] if x in open_edges)
-                    key = (-s, cj)
-                    if best is None or key < best[0]:
-                        best = (key, cj)
-            if best is None:
-                for cj in range(n):
-                    if not done[cj]:
-                        best = (None, cj)
-                        break
-                if best is None:
+            # next: most slots on open edges, then smallest index
+            for r in (ranked[4], ranked[3], ranked[2], ranked[1]):
+                if r:
+                    cur = min(r)
                     break
-            cur = best[1]
+            else:
+                cur = next((cj for cj in range(n) if not done[cj]), None)
+                if cur is None:
+                    break
         return (peak, total), order
 
     best_cost, best_order = None, None

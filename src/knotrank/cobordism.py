@@ -43,7 +43,8 @@ def split_key(key: int) -> tuple[int, int]:
 def cycles_of(ma: tuple, mb: tuple):
     """Cycles of the union of two perfect matchings on the same points.
 
-    Returns (count, point_to_cycle) with cycles numbered by smallest point.
+    Returns (point_to_cycle, firsts) with cycles numbered by smallest
+    point: ``firsts[i]`` is the smallest point of cycle i.
     """
     pa = {}
     for p, q in ma:
@@ -54,27 +55,22 @@ def cycles_of(ma: tuple, mb: tuple):
         pb[p] = q
         pb[q] = p
     assert set(pa) == set(pb), "matchings on different point sets"
-    seen = set()
-    cycles = []
+    point_to_cycle = {}
+    firsts = []
     for start in sorted(pa):
-        if start in seen:
+        if start in point_to_cycle:
             continue
-        cyc = []
+        i = len(firsts)
+        firsts.append(start)
         p, use_a = start, True
         while True:
-            cyc.append(p)
-            seen.add(p)
+            point_to_cycle[p] = i
             p = pa[p] if use_a else pb[p]
             use_a = not use_a
             if p == start and use_a:
                 break
-            assert p not in seen, "matching union walk revisited a point"
-        cycles.append(cyc)
-    point_to_cycle = {}
-    for i, cyc in enumerate(cycles):
-        for p in cyc:
-            point_to_cycle[p] = i
-    return len(cycles), point_to_cycle
+            assert p not in point_to_cycle, "matching union walk revisited a point"
+    return point_to_cycle, tuple(firsts)
 
 
 # ---------------------------------------------------------------------------

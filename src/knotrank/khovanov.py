@@ -18,13 +18,22 @@ entry of its matching from smoothing 0 to smoothing 1.  Every new entry
 is thus the image of an old one under one glued cobordism, built once
 per (m1, m2, r1, r2): the cycles of m1 u m2, glued to a band per local
 arc (r1 == r2) or to one saddle piece (r1 != r2), with a cap on each new
-circle.  Fusing and composing read per-template tables, built once per
-step: the packed expansion of each dot mask (for fusing, for every label
-pair of the new circles), so an entry term only adds its t-power and
-scales by its coefficient.  The output masks of one expansion
-are distinct (each output cycle lies on one glued component), so the
-image of a single term, or the composite of two, cannot cancel and is
-built directly; only entries of several terms accumulate and cancel.
+circle.  The template is crossing-local: a cycle of m1 u m2 through no
+closing slot is an identity component, which only carries its dot to its
+out cycle, so the glued surface is the touched cycles and the local
+pieces, and its expansions are shared within the scan by their
+component structure.  Fusing and composing read per-template tables:
+the packed expansion of each dot mask (for fusing, for every label pair
+of the new circles), so an entry term only adds its t-power and scales
+by its coefficient.  The output masks of one expansion are distinct
+(each output cycle lies on one glued component), so the image of a
+single term, or the composite of two, cannot cancel and is built
+directly; only entries of several terms accumulate and cancel.
+
+Within a step the scan names each distinct matching by a small int, so
+generators, templates and tables key and compare on ints; the ids are
+renumbered at every step, and the finished scan maps each generator to
+its matching again.
 
 Delooping and Gaussian elimination are homotopy equivalences of
 complexes defined over Z[t], and base change to a field A (tensoring
@@ -68,7 +77,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import chain
 
 from ._tangle import ARCS_0, ARCS_1, CrossingStep, merge_matching, scan_order
 from .algebra import QQ, CoefficientField, LaurentPolynomial
@@ -146,6 +154,18 @@ _MASK = (1 << MASK_BITS) - 1    # the dot-mask bits of an entry key
 
 
 class _Scan:
+    """The complex of a scan, fused and eliminated one crossing at a time.
+
+    While the scan runs, a generator's matching is a small int: the id of
+    that matching among the distinct matchings of the current step, which
+    ``matchings`` maps back.  The finished scan maps each generator to
+    (matching, h, q).
+
+    Exact work counters: ``next_gid`` generators created, ``peak_fused``
+    the largest fused complex, ``fused_entries`` the entries fusing made,
+    ``pivots`` the pivots cancelled and ``composites`` the pred-succ
+    composites formed by elimination."""
+
     def __init__(self, d: Diagram, order: list[int], cut_edge: int | None,
                  budget: int, deadline: float | None):
         self.d = d
@@ -153,149 +173,207 @@ class _Scan:
         self.cut_edge = cut_edge
         self.budget = budget
         self.deadline = deadline
-        self.gens: dict[int, tuple] = {}       # gid -> (match, h, q)
-        self.out: dict[int, dict] = {}          # src -> {tgt: entry}
-        self.inc: dict[int, dict] = {}          # tgt -> {src: entry}
-        self.next_gid = 0
-        self.compose_cache: dict = {}
-
-    # -- bookkeeping ---------------------------------------------------------
-
-    def _new_gen(self, match, h, q) -> int:
-        gid = self.next_gid
-        self.next_gid = gid + 1
-        self.gens[gid] = (match, h, q)
-        self.out[gid] = {}
-        self.inc[gid] = {}
-        return gid
-
-    def _set_entry(self, s, t, entry):
-        if entry:
-            self.out[s][t] = entry
-            self.inc[t][s] = entry
+        self.matchings: list = [()]              # match id -> matching
+        self.gens: dict[int, tuple] = {0: (0, 0, 0)}    # gid -> (match, h, q)
+        self.out: dict[int, dict] = {0: {}}      # src -> {tgt: entry}
+        self.inc: dict[int, dict] = {0: {}}      # tgt -> {src: entry}
+        self.next_gid = 1
+        self.compose_cache: dict = {}   # (m_x, m_mid) -> {m_y: template}, per step
+        self.expansions: dict = {}  # local surface's groups -> _LocalTable
+        self.peak_fused = 0
+        self.fused_entries = 0
+        self.pivots = 0
+        self.composites = 0
 
     # -- main loop -----------------------------------------------------------
 
     def run(self):
         d = self.d
         cycles_of.cache_clear()   # keyed on matchings; keep it per-diagram
-        self._new_gen((), 0, 0)
         open_pts: set = set()
         for ci in self.order:
             if self.deadline is not None and time.monotonic() > self.deadline:
                 raise ResourceLimit("scan deadline exceeded")
             step = CrossingStep(d, ci, open_pts, self.cut_edge)
             self._fuse(step)
-            if len(self.gens) > self.budget:
+            size = len(self.gens)
+            self.peak_fused = max(self.peak_fused, size)
+            if size > self.budget:
                 raise ResourceLimit(
-                    f"{len(self.gens)} generators exceed the budget of {self.budget}")
+                    f"{size} generators exceed the budget of {self.budget}")
             self._eliminate()
             open_pts = step.next_points(open_pts)
+        self.expansions.clear()
+        ms = self.matchings
+        self.gens = {g: (ms[m], h, q) for g, (m, h, q) in self.gens.items()}
         return self
 
     # -- one crossing --------------------------------------------------------
 
     def _fuse(self, step: CrossingStep):
         shifts = _SHIFTS[step.sign]
-        new_slot = {v: pos for pos, (kind, v) in enumerate(step.slot_kind)
+        slot_kind = step.slot_kind
+        new_slot = {v: pos for pos, (kind, v) in enumerate(slot_kind)
                     if kind == "new"}
-
-        @cache
-        def merged(match, r):
-            return merge_matching(match, step, ARCS_0 if r == 0 else ARCS_1)
-
+        closing = [v for kind, v in slot_kind if kind == "close"]
+        old_ms = self.matchings
         old_gens = self.gens
         old_out = self.out
-        self.gens = {}
-        self.out = {}
-        self.inc = {}
-        # ids[gid][r][lam]: the rows share these ints (base + lam would copy)
-        ids: dict = {}
-        for gid, (match, h, q) in old_gens.items():
-            ids[gid] = by_r = []
-            for r in (0, 1):
-                nm, circles = merged(match, r)
-                dh, dq = shifts[r]
-                by_r.append(tuple(
-                    self._new_gen(nm, h + dh, q + dq + len(circles) - 2 * lam.bit_count())
-                    for lam in range(1 << len(circles))))
+        interned: dict = {}         # matching -> new match id
+        gens = self.gens = {}
+        out = self.out = {}
+        inc = self.inc = {}
+        expansions = self.expansions
+        step_tables: dict = {}      # template structure -> _FuseTable
 
         @cache
+        def merged(m):
+            # (new match id, circles) of old match id m, per smoothing
+            both = []
+            for arcs in (ARCS_0, ARCS_1):
+                nm, circles = merge_matching(old_ms[m], step, arcs)
+                both.append((interned.setdefault(nm, len(interned)), circles))
+            return both
+
+        # ids[gid][r][lam]: the new generators, the very int objects that
+        # gens, out and inc key on (base + lam would make copies)
+        ids: dict = {}
+        gid = self.next_gid
+        for g, (m, h, q) in old_gens.items():
+            by_r = []
+            for (nm, circles), (dh, dq) in zip(merged(m), shifts):
+                h1 = h + dh
+                q1 = q + dq + len(circles)
+                row = tuple(range(gid, gid + (1 << len(circles))))
+                gid += len(row)
+                for lam, new in enumerate(row):
+                    gens[new] = (nm, h1, q1 - 2 * lam.bit_count())
+                    out[new] = {}
+                    inc[new] = {}
+                by_r.append(row)
+            ids[g] = tuple(by_r)
+        self.next_gid = gid
+        ms = self.matchings = list(interned)    # new match id -> matching
+
         def template(m1, m2, r1, r2):
             # the cycles of m1 u m2, glued at the crossing to a band per
-            # local arc (r1 == r2) or to one saddle piece (r1 != r2)
-            n, pc = cycles_of(m1, m2)
-            local = (n, n + 1) if r1 == r2 else (n, n)
+            # local arc (r1 == r2) or to one saddle piece (r1 != r2); a
+            # cycle through no closing slot only carries its dot to its
+            # out cycle, and the rest is a local surface whose expansions
+            # the scan shares by their component structure
+            pc, _ = cycles_of(old_ms[m1], old_ms[m2])
+            touched = sorted({pc[v] for v in closing})
+            local_of = {c: i for i, c in enumerate(touched)}
+            k = len(touched)
+            band = (k, k + 1) if r1 == r2 else (k, k)
             piece = {}      # slot -> local piece
             for i, (x, y) in enumerate(ARCS_0 if r1 == 0 else ARCS_1):
-                piece[x] = piece[y] = local[i]
+                piece[x] = piece[y] = band[i]
             contacts = []
-            for pos, (kind, v) in enumerate(step.slot_kind):
+            for pos, (kind, v) in enumerate(slot_kind):
                 if kind == "close":
-                    contacts.append((piece[pos], pc[v]))
+                    contacts.append((piece[pos], local_of[pc[v]]))
                 elif kind == "pair" and pos < v:
                     contacts.append((piece[pos], piece[v]))
-            nm1, circles1 = merged(m1, r1)
-            nm2, circles2 = merged(m2, r2)
+            (nm1, circles1), (nm2, circles2) = merged(m1)[r1], merged(m2)[r2]
             boundary = []
-            if nm1:
+            spread = []     # local out index -> out cycle
+            carried = []    # (cycle, out cycle) of each untouched cycle
+            if ms[nm1]:
                 # an out cycle lies on the piece of its smallest point: an
                 # old open point's cycle, or a new point's local piece
-                _, pc_out = cycles_of(nm1, nm2)
-                smallest = {}
-                for p in sorted(pc_out):
-                    smallest.setdefault(pc_out[p], p)
-                for cyc, p in smallest.items():
-                    boundary.append((pc[p] if p in pc else piece[new_slot[p]],
-                                     ("out", cyc)))
+                _, firsts = cycles_of(ms[nm1], ms[nm2])
+                for cyc, p in enumerate(firsts):
+                    c = pc.get(p)
+                    if c is None:
+                        at = piece[new_slot[p]]
+                    elif c in local_of:
+                        at = local_of[c]
+                    else:
+                        carried.append((c, cyc))
+                        continue
+                    boundary.append((at, ("out", len(spread))))
+                    spread.append(cyc)
             # a new circle lies on the piece of a local arc it runs through
-            for k, i in enumerate(circles1 + circles2):
-                boundary.append((local[i], ("cap", k)))
-            n_pieces = local[1] + 1
-            return Glue(n_pieces, contacts, boundary), len(circles1), len(circles2)
+            for cap, i in enumerate(circles1 + circles2):
+                boundary.append((band[i], ("cap", cap)))
+            nc = (len(circles1), len(circles2))
+            key = (band[1], tuple(contacts), tuple(boundary), nc,
+                   tuple(touched), tuple(carried), tuple(spread))
+            tab = step_tables.get(key)
+            if tab is None:
+                glue = Glue(band[1] + 1, contacts, boundary)
+                local = expansions.get((glue.groups, nc))
+                if local is None:
+                    local = expansions[glue.groups, nc] = _LocalTable(
+                        glue, _capdots(*nc))
+                tab = step_tables[key] = _FuseTable(local, touched, carried, spread)
+            return tab
 
-        @cache
-        def table(m1, m2, r1, r2, mask):
-            # dot mask ``mask`` from m1 to m2, expanded per new label pair
-            glue, nc1, nc2 = template(m1, m2, r1, r2)
-            return tuple((lam1, lam2, _packed(glue.expand(mask, caps)))
-                         for lam1, lam2, caps in _capdots(nc1, nc2))
-
-        # each old entry extends once per smoothing; then each generator's
-        # saddle is the identity entry from smoothing 0 to smoothing 1 (this
-        # order of the new entries fixes the elimination order)
-        extended = ((g1, g2, entry, r, r) for g1, row in old_out.items()
-                    for g2, entry in row.items() for r in (0, 1))
-        saddles = ((g, g, {0: -1 if h % 2 else 1}, 0, 1)
-                   for g, (_, h, _) in old_gens.items())
-        for g1, g2, entry, r1, r2 in chain(extended, saddles):
-            m1, m2 = old_gens[g1][0], old_gens[g2][0]
-            src, tgt = ids[g1][r1], ids[g2][r2]
-            # an entry term (t-power tp, dots mask, coeff) adds tp to every
-            # key of the mask's table and scales it by coeff
-            if len(entry) == 1:
-                # the keys of one expansion are distinct, so a single
-                # term's image is built directly: nothing can cancel
-                [(key, coeff)] = entry.items()
-                tbits = key & ~_MASK
-                for lam1, lam2, terms in table(m1, m2, r1, r2, key & _MASK):
-                    self._set_entry(src[lam1], tgt[lam2],
-                                    {k + tbits: coeff * m for k, m in terms})
-                continue
-            # several terms: their images may cancel
-            tables = [(key & ~_MASK, coeff, table(m1, m2, r1, r2, key & _MASK))
-                      for key, coeff in entry.items()]
-            for i, (lam1, lam2, _) in enumerate(tables[0][2]):
-                acc: dict = {}
-                for tbits, coeff, terms in tables:
-                    for k, m in terms[i][2]:
-                        k3 = k + tbits
-                        c3 = acc.get(k3, 0) + coeff * m
-                        if c3:
-                            acc[k3] = c3
-                        else:
-                            acc.pop(k3, None)
-                self._set_entry(src[lam1], tgt[lam2], acc)
+        # each old entry extends once per smoothing, r = 0 then r = 1; then
+        # each generator's saddle is the identity entry from smoothing 0 to
+        # smoothing 1 (this order of the new entries fixes the elimination
+        # order).  An entry term (t-power, dots mask, coeff) adds its
+        # t-power to every key of the mask's table and scales it by coeff.
+        count = 0
+        pairs: dict = {}    # (m1, m2) -> fuse table per smoothing
+        for g1, row in old_out.items():
+            m1 = old_gens[g1][0]
+            src_r = ids[g1]
+            for g2, entry in row.items():
+                m2 = old_gens[g2][0]
+                tabs = pairs.get((m1, m2))
+                if tabs is None:
+                    tabs = pairs[m1, m2] = (template(m1, m2, 0, 0),
+                                            template(m1, m2, 1, 1))
+                tgt_r = ids[g2]
+                if len(entry) == 1:
+                    # the keys of one expansion are distinct, so a single
+                    # term's image is built directly: nothing can cancel
+                    [(key, coeff)] = entry.items()
+                    tbits = key & ~_MASK
+                    mask = key & _MASK
+                    for r in (0, 1):
+                        src, tgt = src_r[r], tgt_r[r]
+                        for lam1, lam2, terms in tabs[r][mask]:
+                            if terms:
+                                s, t = src[lam1], tgt[lam2]
+                                out[s][t] = inc[t][s] = {
+                                    k + tbits: coeff * m for k, m in terms}
+                                count += 1
+                    continue
+                # several terms: their images may cancel
+                for r in (0, 1):
+                    src, tgt = src_r[r], tgt_r[r]
+                    tables = [(key & ~_MASK, coeff, tabs[r][key & _MASK])
+                              for key, coeff in entry.items()]
+                    for i, (lam1, lam2, _) in enumerate(tables[0][2]):
+                        acc: dict = {}
+                        for tbits, coeff, terms in tables:
+                            for k, m in terms[i][2]:
+                                k3 = k + tbits
+                                c3 = acc.get(k3, 0) + coeff * m
+                                if c3:
+                                    acc[k3] = c3
+                                else:
+                                    acc.pop(k3, None)
+                        if acc:
+                            s, t = src[lam1], tgt[lam2]
+                            out[s][t] = inc[t][s] = acc
+                            count += 1
+        saddles: dict = {}  # m -> fuse table from smoothing 0 to 1
+        for g, (m, h, _) in old_gens.items():
+            tab = saddles.get(m)
+            if tab is None:
+                tab = saddles[m] = template(m, m, 0, 1)
+            src, tgt = ids[g]
+            coeff = -1 if h % 2 else 1
+            for lam1, lam2, terms in tab[0]:
+                if terms:
+                    s, t = src[lam1], tgt[lam2]
+                    out[s][t] = inc[t][s] = {k: coeff * mult for k, mult in terms}
+                    count += 1
+        self.fused_entries += count
 
     # -- Gaussian elimination --------------------------------------------------
 
@@ -303,12 +381,18 @@ class _Scan:
         gens = self.gens
         out = self.out
         inc = self.inc
+        ms = self.matchings
+        cache = self.compose_cache
+        # pops take the least (cost, s, t), so one heapify gives the same
+        # pivot sequence as pushing the candidates one by one
         heap = []
         for s, row in out.items():
-            ms, _, qs = gens[s]
+            m_s, _, q_s = gens[s]
             for t, entry in row.items():
-                if entry.get(0) in _UNITS and gens[t][0] == ms and gens[t][2] == qs:
-                    heapq.heappush(heap, ((len(inc[t]) - 1) * (len(row) - 1), s, t))
+                if entry.get(0) in _UNITS and gens[t][0] == m_s and gens[t][2] == q_s:
+                    heap.append(((len(inc[t]) - 1) * (len(row) - 1), s, t))
+        heapq.heapify(heap)
+        pivots = composites = 0
         while heap:
             cost, s, t = heapq.heappop(heap)
             if s not in gens or t not in gens:
@@ -317,15 +401,30 @@ class _Scan:
             if entry is None or entry.get(0) not in _UNITS:
                 continue
             # lazy Markowitz: if the estimated fill-in cost rose past the next
-            # candidate, requeue and take the cheaper one first
+            # candidate, requeue and take the cheaper one first.  The costs
+            # are read while the rows below still grow, so the pivot order,
+            # and with it the final complex, depends on the insertion order
+            # of the fused entries: a kernel change must keep that order.
             cur_cost = (len(inc[t]) - 1) * (len(out[s]) - 1)
             if heap and cur_cost > heap[0][0]:
                 heapq.heappush(heap, (cur_cost, s, t))
                 continue
             c = entry[0]        # +-1, its own inverse
+            pivots += 1
             m_mid = gens[s][0]
             preds = [(x, e) for x, e in inc[t].items() if x != s]
-            succs = [(y, e) for y, e in out[s].items() if y != t]
+            # each succ as (y, its generator, entry, and for a single term
+            # c2 * X^t2 with dots mask2: (mask2, t2, c2))
+            succs = []
+            for y, e in out[s].items():
+                if y != t:
+                    if len(e) == 1:
+                        [(k2, c2)] = e.items()
+                        mask2 = k2 & _MASK
+                        succs.append((y, gens[y], e, (mask2, k2 - mask2, c2)))
+                    else:
+                        succs.append((y, gens[y], e, None))
+            composites += len(preds) * len(succs)
             # detach s and t entirely
             for x in list(inc[s]):
                 del out[x][s]
@@ -337,90 +436,153 @@ class _Scan:
                 del inc[y][t]
             del gens[s], gens[t], out[s], out[t], inc[s], inc[t]
             for x, dx in preds:
-                m_x = gens[x][0]
-                row_x = out[x]
                 gx = gens[x]
-                for y, ey in succs:
-                    m_y = gens[y][0]
-                    comp = self._compose(m_x, m_mid, m_y, dx, ey)
-                    if not comp:
+                m_x = gx[0]
+                row_x = out[x]
+                single = len(dx) == 1
+                if single:
+                    [(k1, c1)] = dx.items()
+                    mask1 = k1 & _MASK
+                    t1 = k1 - mask1
+                    cx = c * c1
+                tmpls = cache.get((m_x, m_mid))
+                if tmpls is None:
+                    tmpls = cache[m_x, m_mid] = {}
+                for y, gy, ey, term in succs:
+                    m_y = gy[0]
+                    tmpl = tmpls.get(m_y)
+                    if tmpl is None:
+                        tmpl = tmpls[m_y] = _compose_template(
+                            ms[m_x], ms[m_mid], ms[m_y])
+                    if single and term:
+                        # the keys of one expansion are distinct, so the
+                        # product of two single terms adds in place
+                        mask2, t2, c2 = term
+                        table, m1 = tmpl
+                        terms = table[mask1 | mask2 << m1]
+                        tbits = t1 + t2
+                        cc = cx * c2
+                        # the terms are sorted, so a key 0 comes first
+                        zero = not tbits and terms and not terms[0][0]
+                    else:
+                        comp = _compose(tmpl, dx, ey)
+                        terms = comp.items()
+                        tbits = 0
+                        cc = c
+                        zero = 0 in comp
+                    if not terms:
                         continue
                     cur = row_x.get(y)
                     if cur is None:
-                        cur = {}
-                        row_x[y] = cur
-                        inc[y][x] = cur
-                    for k, cv in comp.items():
-                        nv = cur.get(k, 0) - c * cv
+                        cur = row_x[y] = inc[y][x] = {}
+                    for k, m in terms:
+                        k += tbits
+                        nv = cur.get(k, 0) - cc * m
                         if nv:
                             cur[k] = nv
                         else:
-                            cur.pop(k, None)
+                            del cur[k]
                     if not cur:
                         del row_x[y]
                         del inc[y][x]
-                    elif (0 in comp and cur.get(0) in _UNITS
-                          and gx[0] == m_y and gx[2] == gens[y][2]):
+                    elif (zero and cur.get(0) in _UNITS
+                          and m_x == m_y and gx[2] == gy[2]):
                         heapq.heappush(
                             heap, ((len(inc[y]) - 1) * (len(row_x) - 1), x, y))
+        self.pivots += pivots
+        self.composites += composites
         # the step's compose tables go before the next fuse, the scan's peak
-        self.compose_cache.clear()
+        cache.clear()
 
-    def _compose(self, ma, mb, mc, e1, e2) -> dict:
-        """e2 . e1 for entries ma -> mb -> mc, read off the triple's table of
-        packed expansions by dot masks (mask1 | mask2 << m1)."""
-        tmpl = self.compose_cache.get((ma, mb, mc))
-        if tmpl is None:
-            m1, pc1 = cycles_of(ma, mb)
-            m2, pc2 = cycles_of(mb, mc)
-            m3, pc3 = cycles_of(ma, mc)
-            contacts = []
-            for p, q in mb:
-                contacts.append((pc1[p], m1 + pc2[p]))
-            boundary = []
-            placed = set()
-            for p in pc3:
-                cyc = pc3[p]
-                if cyc not in placed:
-                    placed.add(cyc)
-                    boundary.append((pc1[p], ("out", cyc)))
-            tmpl = (_ExpansionTable(Glue(m1 + m2, contacts, boundary)), m1)
-            self.compose_cache[(ma, mb, mc)] = tmpl
-        table, m1 = tmpl
-        if len(e1) == 1 and len(e2) == 1:
-            # the keys of one expansion are distinct, so the product of two
-            # single terms is built directly: nothing can cancel
-            [(k1, c1)] = e1.items()
-            [(k2, c2)] = e2.items()
-            mask1, mask2 = k1 & _MASK, k2 & _MASK
+
+class _LocalTable(dict):
+    """local dot mask -> (lam_src, lam_tgt, ``Glue.expand`` result) per
+    label pair of the new circles, for one local fuse surface; filled on
+    use and shared by every fuse template whose local surface has the same
+    components in a scan."""
+
+    def __init__(self, glue: Glue, capdots: tuple):
+        self.glue = glue
+        self.capdots = capdots
+
+    def __missing__(self, mask):
+        terms = self[mask] = tuple((lam1, lam2, self.glue.expand(mask, caps))
+                                   for lam1, lam2, caps in self.capdots)
+        return terms
+
+
+class _FuseTable(dict):
+    """dot mask -> (lam_src, lam_tgt, packed expansion) per label pair, for
+    one fuse template: the local surface's expansion of the touched cycles'
+    dots, with each untouched cycle's dot carried to its out cycle."""
+
+    def __init__(self, local: _LocalTable, touched: list, carried: list,
+                 spread: list):
+        self.local = local
+        self.touched = touched
+        self.carried = carried
+        self.spread = [0]   # local out mask -> out mask
+        for cyc in spread:
+            self.spread += [om | 1 << cyc for om in self.spread]
+
+    def __missing__(self, mask):
+        local_mask = 0
+        for i, c in enumerate(self.touched):
+            local_mask |= (mask >> c & 1) << i
+        fixed = 0
+        for c, cyc in self.carried:
+            fixed |= (mask >> c & 1) << cyc
+        spread = self.spread
+        terms = self[mask] = tuple(
+            (lam1, lam2, tuple((key_of(t, spread[om] | fixed), mult)
+                               for om, mult, t in expansion))
+            for lam1, lam2, expansion in self.local[local_mask])
+        return terms
+
+
+def _compose_template(ma: tuple, mb: tuple, mc: tuple) -> tuple:
+    """(table, m1) for entries ma -> mb -> mc: the packed expansions of the
+    glued cobordism by dot masks (mask1 | mask2 << m1)."""
+    pc1, firsts1 = cycles_of(ma, mb)
+    pc2, firsts2 = cycles_of(mb, mc)
+    _, firsts3 = cycles_of(ma, mc)
+    m1 = len(firsts1)
+    contacts = [(pc1[p], m1 + pc2[p]) for p, _ in mb]
+    boundary = [(pc1[p], ("out", cyc)) for cyc, p in enumerate(firsts3)]
+    return _ExpansionTable(Glue(m1 + len(firsts2), contacts, boundary)), m1
+
+
+def _compose(tmpl: tuple, e1: dict, e2: dict) -> dict:
+    """e2 . e1 for entries ma -> mb -> mc, read off the triple's
+    :func:`_compose_template`."""
+    table, m1 = tmpl
+    acc: dict = {}
+    for k1, c1 in e1.items():
+        mask1 = k1 & _MASK
+        for k2, c2 in e2.items():
+            mask2 = k2 & _MASK
             tbits = k1 - mask1 + k2 - mask2
             c = c1 * c2
-            return {k + tbits: c * m for k, m in table[mask1 | mask2 << m1]}
-        acc: dict = {}
-        for k1, c1 in e1.items():
-            mask1 = k1 & _MASK
-            for k2, c2 in e2.items():
-                mask2 = k2 & _MASK
-                tbits = k1 - mask1 + k2 - mask2
-                c = c1 * c2
-                for k, m in table[mask1 | mask2 << m1]:
-                    k3 = k + tbits
-                    c3 = acc.get(k3, 0) + c * m
-                    if c3:
-                        acc[k3] = c3
-                    else:
-                        acc.pop(k3, None)
-        return acc
+            for k, m in table[mask1 | mask2 << m1]:
+                k3 = k + tbits
+                c3 = acc.get(k3, 0) + c * m
+                if c3:
+                    acc[k3] = c3
+                else:
+                    acc.pop(k3, None)
+    return acc
 
 
 class _ExpansionTable(dict):
-    """dot mask -> packed expansion of one glue template, filled on use."""
+    """dot mask -> packed expansion of one glue template, sorted by key,
+    filled on use."""
 
     def __init__(self, glue: Glue):
         self.glue = glue
 
     def __missing__(self, dots):
-        terms = self[dots] = _packed(self.glue.expand(dots))
+        terms = self[dots] = tuple(sorted(
+            (key_of(tadd, om), mult) for om, mult, tadd in self.glue.expand(dots)))
         return terms
 
 
@@ -433,11 +595,6 @@ def _capdots(nc_src, nc_tgt) -> tuple:
                   tuple(lam_src >> k & 1 for k in range(nc_src))
                   + tuple(1 - (lam_tgt >> k & 1) for k in range(nc_tgt)))
                  for lam_src in range(1 << nc_src) for lam_tgt in range(1 << nc_tgt))
-
-
-def _packed(expansion) -> tuple:
-    """A ``Glue.expand`` result as (key of t-power and output mask, mult)."""
-    return tuple((key_of(tadd, om), mult) for om, mult, tadd in expansion)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ from knotrank.corpus import RIBBON_NAMES, load_corpus
 from knotrank.diagram import connected_sum, disjoint_union, mirror, parse_pd
 from knotrank.jones import jones
 from knotrank.khovanov import (DeformedModule, KnotScan, ResourceLimit,
-                               _entries, _monomial_smith, deformed_module,
+                               _compose, _compose_template, _entries,
+                               _monomial_smith, deformed_module,
                                khovanov_pair, khovanov_ranks)
 from knotrank.scanner import compute_report
 
@@ -380,8 +381,9 @@ def test_final_differential_squares_to_zero(corpus):
         for s, row in scan.out.items():
             for mid, e1 in row.items():
                 for t, e2 in scan.out.get(mid, {}).items():
-                    comp = scan._compose(scan.gens[s][0], scan.gens[mid][0],
-                                         scan.gens[t][0], e1, e2)
+                    comp = _compose(_compose_template(
+                        scan.gens[s][0], scan.gens[mid][0], scan.gens[t][0]),
+                        e1, e2)
                     cell = square.setdefault((s, t), {})
                     for k, v in comp.items():
                         nv = cell.get(k, 0) + v
@@ -409,6 +411,11 @@ FINAL_COMPLEXES = {
                    "2355bc8b3fbda3aa6e6452c14e7a9350", 4995),
     "6_2": ("2f42b63f5b625809cd6f877e22f84c37"
             "6a68f90be6ba996cdeff6cf7c9dc916e", 75),
+    # taken with the kernel that keyed every cache on matching tuples
+    "mirror(18nh_00159590)": ("82fe30512ff38e3cee6b429bc08b3d40"
+                              "486788a62bc4bb583dc630093016f92e", 3155),
+    "su8_seed143": ("ea560eb79e1d2701fafe9e25df97dacf"
+                    "7f55be04a1c328bfbe0db80ab62931d3", 726),
 }
 
 # cycles_of (calls, misses) of each pinned scan, at most: the digests do
@@ -420,14 +427,32 @@ CYCLES_OF_WORK = {
     "19nh_000305767": (5994, 858),
     "symunion24": (2496, 393),
     "6_2": (81, 17),
+    "mirror(18nh_00159590)": (1166, 184),
+    "su8_seed143": (335, 66),
 }
 
+# the costliest knot of perfbench/symunion_pool.pd
+SU8_SEED143 = ("[[5,4,6,5],[7,1,8,34],[3,14,4,15],[15,9,16,8],[11,6,12,7],"
+               "[12,14,13,13],[1,3,2,2],[10,9,11,10],[22,22,23,21],"
+               "[24,17,25,18],[20,32,21,31],[32,25,33,26],[28,24,29,23],"
+               "[29,30,30,31],[18,19,19,20],[27,27,28,26],[33,17,34,16]]")
 
-@pytest.mark.parametrize("name", (*RIBBON_NAMES, "6_2"))
+
+def pinned_diagram(corpus, name):
+    """A corpus knot; its mirror, with the opposite crossing signs; or the
+    costliest knot of the symmetric-union benchmark pool."""
+    if name == "su8_seed143":
+        return parse_pd(SU8_SEED143, name=name)
+    if name.startswith("mirror("):
+        return mirror(corpus[name[len("mirror("):-1]])
+    return corpus[name]
+
+
+@pytest.mark.parametrize("name", FINAL_COMPLEXES)
 def test_final_complex_pinned(corpus, name):
     # generator ids, the elimination order and every entry of the final
     # complex stay exactly as the term-by-term kernel made them
-    scan = KnotScan(corpus[name]).final_complex()
+    scan = KnotScan(pinned_diagram(corpus, name)).final_complex()
     gens = sorted((g, m, h, q) for g, (m, h, q) in scan.gens.items())
     entries = sorted((s, t, sorted(e.items()))
                      for s, row in scan.out.items() for t, e in row.items())
@@ -437,3 +462,27 @@ def test_final_complex_pinned(corpus, name):
     info = cycles_of.cache_info()
     calls, misses = CYCLES_OF_WORK[name]
     assert info.hits + info.misses <= calls and info.misses <= misses
+
+
+# (generators created, peak fused generators, fused entries, pivots,
+# composites formed) of each scan, taken by counting in the kernel that
+# keyed every cache on matching tuples
+SCAN_WORK = {
+    "18nh_00159590": (3155, 645, 11865, 902, 5091),
+    "18nh_00752242": (4706, 846, 21990, 1353, 11222),
+    "19nh_000129633": (2109, 339, 7001, 590, 2268),
+    "19nh_000305767": (5939, 971, 38462, 1738, 26508),
+    "symunion24": (4995, 789, 20991, 1445, 8617),
+    "6_2": (75, 33, 135, 18, 26),
+    "mirror(18nh_00159590)": (3155, 645, 12145, 902, 5633),
+    "su8_seed143": (726, 225, 1541, 238, 241),
+}
+
+
+@pytest.mark.parametrize("name", SCAN_WORK)
+def test_scan_work_counters(corpus, name):
+    # the counters are exact: a kernel that does the same work reads the
+    # same numbers
+    scan = KnotScan(pinned_diagram(corpus, name)).final_complex()
+    assert (scan.next_gid, scan.peak_fused, scan.fused_entries, scan.pivots,
+            scan.composites) == SCAN_WORK[name]
