@@ -9,16 +9,14 @@ scanner.
 
 from .algebra import (F2, F3, F211, QQ, CoefficientField, LaurentPolynomial,
                       QuotientClass, parse_field)
-from .alexander import (ConwayPotential, alexander_polynomial,
-                        conway_potential, signed_det)
+from .alexander import ConwayPotential, alexander_polynomial, conway_potential
 from .arf import (ArfResult, arf, arf_from_alexander, arf_from_jones,
                   arf_from_jones_at_i, arf_from_levine)
 from .corpus import load_corpus
 from .diagram import (Diagram, InvalidDiagram, connected_sum, crossing_change,
                       disjoint_union, is_planar, mirror, oriented_resolution,
                       parse_diagram_file, parse_diagram_lines, parse_pd)
-from .jones import (JonesPolynomial, det_from_jones, jones, jones_at_i,
-                    kauffman_bracket)
+from .jones import JonesPolynomial, det_from_jones, jones, kauffman_bracket
 from .khovanov import (BigradedRanks, DeformedModule, KnotScan, ResourceLimit,
                        deformed_module, khovanov_pair, khovanov_ranks)
 from .scanner import (KnotReport, compute_report, parse_report_jsonl,

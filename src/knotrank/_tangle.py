@@ -103,7 +103,6 @@ class CrossingStep:
     def __init__(self, d: Diagram, ci: int, open_points: set,
                  cut_edge: int | None = None):
         tup = d.crossings[ci]
-        oin = d.over_in[ci]
         oin_pos = 3 if d.signs[ci] == 1 else 1
         self.sign = d.signs[ci]
         ids = list(tup)

@@ -12,7 +12,6 @@ to the Conway form (symmetric, value 1 at t = 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 from ._unionfind import UnionFind
 from .algebra import LaurentPolynomial
@@ -114,13 +113,6 @@ def _conway_normalize(p: LaurentPolynomial) -> LaurentPolynomial:
     raise ValueError(f"normalized polynomial evaluates to {at_one} at t=1")
 
 
-def signed_det(d: Diagram) -> int:
-    """Delta(-1) of the Conway-normalized Alexander polynomial."""
-    value = alexander_polynomial(d).evaluate(-1)
-    assert value % 2, "knot determinant must be odd"
-    return value
-
-
 @dataclass(frozen=True)
 class ConwayPotential:
     """Conway potential of a knot: 1 + a2 z^2 + a4 z^4 + ..."""
@@ -135,48 +127,21 @@ class ConwayPotential:
 def conway_potential(delta: LaurentPolynomial) -> ConwayPotential:
     """Solve Delta(t) = nabla(z) under z = t^(-1/2) - t^(1/2).
 
-    Even powers of z are polynomials in s := z^2 = t + 1/t - 2, so the
-    solve is a triangular base change; the result is verified by
-    substituting back.
+    Even powers of z are powers of s := z^2 = t - 2 + 1/t, and s^k has top
+    term t^k, so the coefficients a_{2k} peel off Delta from its top degree
+    down; the remainder must then be zero.
     """
     if delta != delta.invert_variable() or delta.evaluate(1) != 1:
         raise ValueError("input is not a Conway-normalized knot polynomial")
-    # write Delta in the basis p_i(mu) = t^i + t^-i, mu = t + 1/t
-    work = dict(delta.coeffs)
-    deg = max(abs(e) for e in work) if work else 0
-    mu_poly = {}  # coefficients of Delta as polynomial in mu
-    # p_0 = 2, p_1 = mu, p_{i+1} = mu*p_i - p_{i-1}
-    basis = {0: {0: 2}, 1: {1: 1}}
-    for i in range(2, deg + 1):
-        prev, prev2 = basis[i - 1], basis[i - 2]
-        cur: dict = {}
-        for k, c in prev.items():
-            cur[k + 1] = cur.get(k + 1, 0) + c
-        for k, c in prev2.items():
-            cur[k] = cur.get(k, 0) - c
-        basis[i] = cur
-    half = {i: work.get(i, 0) for i in range(1, deg + 1)}
-    const = work.get(0, 0)
-    for i, ci in half.items():
-        if ci:
-            for k, c in basis[i].items():
-                mu_poly[k] = mu_poly.get(k, 0) + ci * c
-    # the p_i expansion covers c_i (t^i + t^-i); the constant term needs
-    # the remaining half of c_0
-    mu_poly[0] = mu_poly.get(0, 0) + const
-    # shift mu = s + 2
-    s_poly: dict = {}
-    for k, c in mu_poly.items():
-        for j in range(k + 1):
-            s_poly[j] = s_poly.get(j, 0) + c * comb(k, j) * (2 ** (k - j))
-    coeffs = tuple(s_poly.get(j, 0) for j in range(max(s_poly) + 1 if s_poly else 1))
-    # verify by resubstitution: sum a_{2i} (t - 2 + 1/t)^i == Delta
-    s_laurent = LaurentPolynomial({1: 1, 0: -2, -1: 1})
-    acc = LaurentPolynomial.zero()
-    power = LaurentPolynomial.one()
-    for a in coeffs:
-        acc = acc + power * a
-        power = power * s_laurent
-    if acc != delta:
+    s = LaurentPolynomial({1: 1, 0: -2, -1: 1})
+    powers = [LaurentPolynomial.one()]
+    for _ in range(delta.max_exp):
+        powers.append(powers[-1] * s)
+    rest = delta
+    coeffs = [0] * len(powers)
+    for k in reversed(range(len(powers))):
+        coeffs[k] = rest.coefficient(k)
+        rest = rest - powers[k] * coeffs[k]
+    if rest:
         raise ValueError("Conway potential substitution check failed")
-    return ConwayPotential(coeffs)
+    return ConwayPotential(tuple(coeffs))

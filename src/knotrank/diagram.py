@@ -2,10 +2,18 @@
 
 A PD code lists one 4-tuple of edge labels per crossing, counterclockwise
 starting at the incoming under-strand.  Edge labels are positive integers
-and increase by one along each component (wrapping around at the
-component's largest label); that rule is what orients the diagram.  This
-matches the convention in which standard knot tables and the bundled
-corpus codes are written.
+and go up by one along each component, wrapping once from the component's
+largest label to its smallest; that label rule is what orients the
+diagram.  This matches the convention in which standard knot tables and
+the bundled corpus codes are written.
+
+So each crossing ``(a, b, c, d)`` is oriented locally.  The under-strand
+runs ``a -> c``.  When the over labels ``b, d`` are adjacent or equal, the
+over-strand runs upward from the smaller one, unless that edge already
+runs into a crossing, in which case it runs from the larger; further
+apart, it is the wrap and runs from the larger.  Under-strands claim their
+edges first, then over-strands in crossing order, so a two-edge component
+that only passes over runs upward at its smallest crossing index.
 
 Crossing-free unknot components cannot be expressed by 4-tuples, so a
 diagram carries an explicit count of them; the text form is the letter
@@ -89,10 +97,6 @@ class Diagram:
     def writhe(self) -> int:
         return sum(self.signs)
 
-    def sign(self, i: int) -> int:
-        self._check_index(i)
-        return self.signs[i]
-
     def _check_index(self, i: int):
         if not 0 <= i < len(self.crossings):
             raise IndexError(f"crossing index {i} out of range")
@@ -127,128 +131,67 @@ class Diagram:
 
 
 def _trace_structure(crossings):
-    occ: dict[int, list] = {}
+    occ: dict[int, int] = {}
     for ci, tup in enumerate(crossings):
         if len(tup) != 4:
             raise InvalidDiagram(f"crossing {ci}: expected 4 edges, got {len(tup)}")
-        for pos, e in enumerate(tup):
+        for e in tup:
             if e <= 0:
                 raise InvalidDiagram(f"crossing {ci}: edge labels must be positive, got {e}")
-            occ.setdefault(e, []).append((ci, pos))
-    for e, slots in occ.items():
-        if len(slots) != 2:
-            raise InvalidDiagram(f"edge {e} appears {len(slots)} times (expected exactly 2)")
+            occ[e] = occ.get(e, 0) + 1
+    for e, n in occ.items():
+        if n != 2:
+            raise InvalidDiagram(f"edge {e} appears {n} times (expected exactly 2)")
 
-    # structural cycles: walk strands through crossings, ignoring orientation
-    visited = set()
-    raw_cycles = []
-    for e0 in sorted(occ):
-        if e0 in visited:
-            continue
-        cycle = []
-        e, head = e0, occ[e0][0]
-        while True:
-            cycle.append(e)
-            visited.add(e)
-            ci, pos = head
-            out_slot = (ci, (pos + 2) % 4)
-            f = crossings[ci][(pos + 2) % 4]
-            s1, s2 = occ[f]
-            nxt_head = s2 if s1 == out_slot else s1
-            e, head = f, nxt_head
-            if e == e0 and head == occ[e0][0]:
-                break
-            if len(cycle) > 2 * len(crossings):
-                raise InvalidDiagram("strand tracing does not close")
-        raw_cycles.append(cycle)
+    # orient locally (see the module docstring): under-strands first, then
+    # over-strands in crossing order
+    succ: dict[int, int] = {}
+    for ci, (a, _, c, _) in enumerate(crossings):
+        _claim(succ, a, c, ci)
+    over_in = []
+    for ci, (_, b, _, d) in enumerate(crossings):
+        lo, hi = min(b, d), max(b, d)
+        oin = lo if hi - lo <= 1 and lo not in succ else hi
+        _claim(succ, oin, b + d - oin, ci)
+        over_in.append(oin)
 
-    # orient each cycle so the labels increase (with one wraparound)
-    components = []
-    for cycle in raw_cycles:
-        lo = min(cycle)
-        labels = sorted(cycle)
-        if labels != list(range(lo, lo + len(cycle))):
-            raise InvalidDiagram(f"component containing edge {lo} has non-contiguous labels {labels}")
-        i = cycle.index(lo)
-        fwd = cycle[i:] + cycle[:i]
-        if fwd == labels:
-            components.append(tuple(fwd))
-        else:
-            rev = [cycle[i]] + list(reversed(cycle[:i] + cycle[i + 1:]))
-            if rev == labels:
-                components.append(tuple(rev))
-            else:
-                raise InvalidDiagram(
-                    f"edge labels do not increase along the component containing edge {lo}")
-    components.sort(key=lambda c: c[0])
-    components = tuple(components)
-
-    succ = {}
+    # each label appears exactly twice and, by the claims, runs into one
+    # crossing, so it runs out of exactly one: succ is a permutation and
+    # every walk in _cycles closes
+    components = _cycles(succ)
     for comp in components:
-        for j, e in enumerate(comp):
-            succ[e] = comp[(j + 1) % len(comp)]
-
-    # the under-strand must run from position 0 to position 2
-    for ci, (a, b, c, d) in enumerate(crossings):
-        if succ[a] != c:
+        if comp != tuple(range(comp[0], comp[0] + len(comp))):
             raise InvalidDiagram(
-                f"crossing {ci}: under-strand {a}->{c} conflicts with orientation "
-                f"(expected {a}->{succ[a]}); first tuple entry must be the incoming under-strand")
+                f"edge labels do not go up by one along the component containing edge "
+                f"{comp[0]}; each tuple must start at the incoming under-strand")
+    succ = {e: succ[e] for comp in components for e in comp}
+    signs = tuple(1 if oin == d != b else -1 for oin, (_, b, _, d) in zip(over_in, crossings))
+    return components, succ, tuple(over_in), signs
 
-    # assign over-strand directions; each oriented transition e -> succ(e)
-    # happens at exactly one crossing, and the under-strands consume theirs
-    # first.  Ties (components that never pass under) break toward the
-    # smallest incoming label.
-    remaining = {(e, succ[e]) for e in succ}
-    for a, b, c, d in crossings:
-        t = (a, c)
-        if t not in remaining:
-            raise InvalidDiagram(f"under transition {a}->{c} used twice")
-        remaining.discard(t)
-    over_in: list = [None] * len(crossings)
-    unassigned = set(range(len(crossings)))
-    while unassigned:
-        progress = []
-        for ci in sorted(unassigned):
-            _, b, _, d = crossings[ci]
-            cands = []
-            if succ.get(b) == d and (b, d) in remaining:
-                cands.append(b)
-            if succ.get(d) == b and (d, b) in remaining and d != b:
-                cands.append(d)
-            if not cands:
-                raise InvalidDiagram(f"crossing {ci}: over-strand orientation untraceable")
-            if len(cands) == 1:
-                progress.append((ci, cands[0]))
-        if not progress:
-            # genuinely ambiguous (a component never passing under); break the
-            # tie toward the smallest incoming over label
-            ci = min(unassigned)
-            _, b, _, d = crossings[ci]
-            progress = [(ci, min(b, d))]
-        assigned_any = False
-        for ci, oin in progress:
-            if ci not in unassigned or (oin, succ[oin]) not in remaining:
-                continue
-            over_in[ci] = oin
-            remaining.discard((oin, succ[oin]))
-            unassigned.discard(ci)
-            assigned_any = True
-        if not assigned_any:
-            raise InvalidDiagram(
-                f"over-strand orientation untraceable at crossings {sorted(unassigned)}")
-    if remaining:
-        raise InvalidDiagram(f"orientation trace left unused transitions {sorted(remaining)}")
 
-    # sign: +1 when the incoming over-strand sits at position 3 (then the
-    # over-direction is a +90 degree turn from the under-direction)
-    signs = []
-    for ci, (a, b, c, d) in enumerate(crossings):
-        if over_in[ci] == d and over_in[ci] != b:
-            signs.append(1)
-        else:
-            signs.append(-1)
-    return components, succ, tuple(over_in), tuple(signs)
+def _claim(succ: dict, e: int, f: int, ci: int) -> None:
+    """Record that edge ``e`` runs into crossing ``ci`` and leaves it as ``f``."""
+    if e in succ:
+        raise InvalidDiagram(f"crossing {ci}: edge {e} already runs into another crossing")
+    succ[e] = f
+
+
+def _cycles(succ: dict) -> tuple[tuple[int, ...], ...]:
+    """Cycles of the permutation ``succ``, each from its smallest label,
+    ordered by that label."""
+    seen = set()
+    cycles = []
+    for e0 in sorted(succ):
+        if e0 in seen:
+            continue
+        cyc = [e0]
+        e = succ[e0]
+        while e != e0:
+            cyc.append(e)
+            e = succ[e]
+        seen.update(cyc)
+        cycles.append(tuple(cyc))
+    return tuple(cycles)
 
 
 # ---------------------------------------------------------------------------
@@ -356,50 +299,16 @@ def _assemble(records, extra_components=0, name=None) -> Diagram:
     """Build a diagram from (tuple4, over_in_position) records with arbitrary
     labels, relabeling edges canonically (1..2n, increasing along each
     component, components ordered by smallest old label)."""
-    heads = {}
-    tails = {}
+    succ: dict[int, int] = {}
     for ci, (tup, oin_pos) in enumerate(records):
-        oout_pos = 4 - oin_pos
-        for pos, e in enumerate(tup):
-            if pos == 0 or pos == oin_pos:
-                if e in heads:
-                    raise InvalidDiagram(f"edge {e} has two heads")
-                heads[e] = (ci, pos)
-            else:
-                if e in tails:
-                    raise InvalidDiagram(f"edge {e} has two tails")
-                tails[e] = (ci, pos)
-    if set(heads) != set(tails):
+        for pos in (0, oin_pos):
+            _claim(succ, tup[pos], tup[(pos + 2) % 4], ci)
+    # _cycles needs a permutation: the tails must be the heads once each
+    if sorted(succ.values()) != sorted(succ):
         raise InvalidDiagram("edges with missing head or tail")
-
-    cycles = []
-    seen = set()
-    for e0 in sorted(heads):
-        if e0 in seen:
-            continue
-        cyc = []
-        e = e0
-        while True:
-            cyc.append(e)
-            seen.add(e)
-            ci, pos = heads[e]
-            tup, oin_pos = records[ci]
-            out_pos = 2 if pos == 0 else 4 - oin_pos
-            e = tup[out_pos]
-            if e == e0:
-                break
-        cycles.append(cyc)
-
-    relabel = {}
-    nxt = 1
-    for cyc in cycles:
-        for e in cyc:
-            relabel[e] = nxt
-            nxt += 1
-    new_tuples = []
-    for tup, oin_pos in records:
-        new_tuples.append(tuple(relabel[e] for e in tup))
-    return Diagram(tuple(new_tuples), extra_components, name)
+    relabel = {e: k for k, e in enumerate((e for cyc in _cycles(succ) for e in cyc), 1)}
+    return Diagram(tuple(tuple(relabel[e] for e in tup) for tup, _ in records),
+                   extra_components, name)
 
 
 def _records(d: Diagram):

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._tangle import ARCS_0, ARCS_1, CrossingStep, merge_matching, scan_order
-from .algebra import LaurentPolynomial, zeta8_to_iroot2
+from .algebra import LaurentPolynomial
 from .diagram import Diagram
 
 # loop value of the bracket: -A^2 - A^{-2}
@@ -103,10 +103,3 @@ def _det_of(v: JonesPolynomial) -> int:
     if c1 or c3 or (c0 and c2):
         raise ValueError(f"V(-1) not a Gaussian integer of the expected form: {(c0, c1, c2, c3)}")
     return abs(c0) if c0 else abs(c2)
-
-
-def jones_at_i(d: Diagram) -> tuple:
-    """V_L(i) as an exact element of Z[i, sqrt2] in the basis
-    (1, i, sqrt2, i*sqrt2)."""
-    v = jones(d)
-    return zeta8_to_iroot2(v.poly.evaluate_zeta8(1))

@@ -143,7 +143,6 @@ def random_diagram(seed: int, n: int) -> Diagram:
 def _try_random(rng: random.Random, n: int) -> Diagram | None:
     visits = list(range(n)) * 2
     rng.shuffle(visits)
-    first: dict = {}
     tuples = []
     # edge k runs from visit position k to k+1; labels are 1-based
     position_of: dict = {}

@@ -1,8 +1,7 @@
 import pytest
 
 from knotrank.algebra import LaurentPolynomial
-from knotrank.alexander import (alexander_polynomial, conway_potential,
-                                signed_det)
+from knotrank.alexander import alexander_polynomial, conway_potential
 from knotrank.corpus import RIBBON_NAMES, load_corpus
 from knotrank.diagram import connected_sum, mirror
 from knotrank.jones import det_from_jones
@@ -11,6 +10,13 @@ from knotrank.jones import det_from_jones
 @pytest.fixture(scope="module")
 def corpus():
     return load_corpus()
+
+
+def signed_det(d) -> int:
+    """Delta(-1) of the Conway-normalized Alexander polynomial."""
+    value = alexander_polynomial(d).evaluate(-1)
+    assert value % 2, "knot determinant must be odd"
+    return value
 
 
 def seifert_oracle(v):

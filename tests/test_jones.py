@@ -1,17 +1,22 @@
 import pytest
 
-from knotrank.algebra import LaurentPolynomial
+from knotrank.algebra import LaurentPolynomial, zeta8_to_iroot2
 from knotrank.corpus import load_corpus
 from knotrank.diagram import (crossing_change, disjoint_union, mirror,
                               oriented_resolution, parse_pd)
-from knotrank.jones import (JonesPolynomial, det_from_jones, jones, jones_at_i,
-                            kauffman_bracket)
+from knotrank.jones import JonesPolynomial, det_from_jones, jones, kauffman_bracket
 from state_sum_oracle import jones_state_sum, kauffman_bracket_state_sum
 
 
 @pytest.fixture(scope="module")
 def corpus():
     return load_corpus()
+
+
+def jones_at_i(d) -> tuple:
+    """V_L(i) as an exact element of Z[i, sqrt2] in the basis
+    (1, i, sqrt2, i*sqrt2)."""
+    return zeta8_to_iroot2(jones(d).poly.evaluate_zeta8(1))
 
 
 def V(d):
