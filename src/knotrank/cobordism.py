@@ -27,10 +27,6 @@ from ._unionfind import UnionFind
 MASK_BITS = 24
 
 
-def key_of(tpow: int, mask: int) -> int:
-    return (tpow << MASK_BITS) | mask
-
-
 def split_key(key: int) -> tuple[int, int]:
     return key >> MASK_BITS, key & ((1 << MASK_BITS) - 1)
 

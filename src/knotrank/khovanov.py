@@ -18,11 +18,14 @@ entry of its matching from smoothing 0 to smoothing 1.  Every new entry
 is thus the image of an old one under one glued cobordism, built once
 per (m1, m2, r1, r2): the cycles of m1 u m2, glued to a band per local
 arc (r1 == r2) or to one saddle piece (r1 != r2), with a cap on each new
-circle.  The template is crossing-local: a cycle of m1 u m2 through no
-closing slot is an identity component, which only carries its dot to its
-out cycle, so the glued surface is the touched cycles and the local
-pieces, and its expansions are shared within the scan by their
-component structure.  Fusing and composing read per-template tables:
+circle.  Gaussian elimination composes entries ma -> mb -> mc through
+the cycles of ma u mb and of mb u mc, glued along the arcs of mb.  Both
+templates are crossing-local.  A cycle of m1 u m2 through no closing
+slot, and an arc of all three of ma, mb, mc (a strip), is an identity
+component: it only carries its dots to its out cycle, two dots making
+one power of t.  The rest is a local surface: one ``Glue`` per surface
+is built in a scan, and its expansions are shared by their component
+structure.  Fusing and composing read per-template tables, sorted by key:
 the packed expansion of each dot mask (for fusing, for every label pair
 of the new circles), so an entry term only adds its t-power and scales
 by its coefficient.  The output masks of one expansion are distinct
@@ -80,7 +83,7 @@ from functools import cache
 
 from ._tangle import ARCS_0, ARCS_1, CrossingStep, merge_matching, scan_order
 from .algebra import QQ, CoefficientField, LaurentPolynomial
-from .cobordism import MASK_BITS, Glue, cycles_of, key_of, split_key
+from .cobordism import MASK_BITS, Glue, cycles_of, split_key
 from .diagram import Diagram
 
 
@@ -163,8 +166,9 @@ class _Scan:
 
     Exact work counters: ``next_gid`` generators created, ``peak_fused``
     the largest fused complex, ``fused_entries`` the entries fusing made,
-    ``pivots`` the pivots cancelled and ``composites`` the pred-succ
-    composites formed by elimination."""
+    ``pivots`` the pivots cancelled, ``composites`` the pred-succ
+    composites formed by elimination and ``glues`` the ``Glue`` objects
+    built."""
 
     def __init__(self, d: Diagram, order: list[int], cut_edge: int | None,
                  budget: int, deadline: float | None):
@@ -179,7 +183,9 @@ class _Scan:
         self.inc: dict[int, dict] = {0: {}}      # tgt -> {src: entry}
         self.next_gid = 1
         self.compose_cache: dict = {}   # (m_x, m_mid) -> {m_y: template}, per step
+        self.locals: dict = {}      # local surface's inputs -> _LocalTable
         self.expansions: dict = {}  # local surface's groups -> _LocalTable
+        self.glues = 0
         self.peak_fused = 0
         self.fused_entries = 0
         self.pivots = 0
@@ -203,10 +209,26 @@ class _Scan:
                     f"{size} generators exceed the budget of {self.budget}")
             self._eliminate()
             open_pts = step.next_points(open_pts)
+        # the tables are the scan's own: a batch keeps no table per knot
+        self.locals.clear()
         self.expansions.clear()
         ms = self.matchings
         self.gens = {g: (ms[m], h, q) for g, (m, h, q) in self.gens.items()}
         return self
+
+    def _local(self, n_pieces: int, contacts: tuple, boundary: tuple,
+               nc: tuple = (0, 0)) -> _LocalTable:
+        """The expansions of a local surface, looked up by its inputs and
+        then by its components, so the scan builds one ``Glue`` per local
+        surface and shares its expansions by structure."""
+        key = (n_pieces, contacts, boundary, nc)
+        local = self.locals.get(key)
+        if local is None:
+            glue = Glue(n_pieces, contacts, boundary)
+            self.glues += 1
+            local = self.locals[key] = self.expansions.setdefault(
+                (glue.groups, nc), _LocalTable(glue, _capdots(*nc)))
+        return local
 
     # -- one crossing --------------------------------------------------------
 
@@ -223,8 +245,7 @@ class _Scan:
         gens = self.gens = {}
         out = self.out = {}
         inc = self.inc = {}
-        expansions = self.expansions
-        step_tables: dict = {}      # template structure -> _FuseTable
+        step_tables: dict = {}      # template structure -> _Template
 
         @cache
         def merged(m):
@@ -278,7 +299,7 @@ class _Scan:
             (nm1, circles1), (nm2, circles2) = merged(m1)[r1], merged(m2)[r2]
             boundary = []
             spread = []     # local out index -> out cycle
-            carried = []    # (cycle, out cycle) of each untouched cycle
+            carried = []    # (1 << cycle, out cycle) of each untouched cycle
             if ms[nm1]:
                 # an out cycle lies on the piece of its smallest point: an
                 # old open point's cycle, or a new point's local piece
@@ -290,24 +311,20 @@ class _Scan:
                     elif c in local_of:
                         at = local_of[c]
                     else:
-                        carried.append((c, cyc))
+                        carried.append((1 << c, cyc))
                         continue
                     boundary.append((at, ("out", len(spread))))
                     spread.append(cyc)
             # a new circle lies on the piece of a local arc it runs through
             for cap, i in enumerate(circles1 + circles2):
                 boundary.append((band[i], ("cap", cap)))
-            nc = (len(circles1), len(circles2))
-            key = (band[1], tuple(contacts), tuple(boundary), nc,
-                   tuple(touched), tuple(carried), tuple(spread))
+            local = (band[1] + 1, tuple(contacts), tuple(boundary),
+                     (len(circles1), len(circles2)))
+            key = (local, tuple(touched), tuple(carried), tuple(spread))
             tab = step_tables.get(key)
             if tab is None:
-                glue = Glue(band[1] + 1, contacts, boundary)
-                local = expansions.get((glue.groups, nc))
-                if local is None:
-                    local = expansions[glue.groups, nc] = _LocalTable(
-                        glue, _capdots(*nc))
-                tab = step_tables[key] = _FuseTable(local, touched, carried, spread)
+                tab = step_tables[key] = _Template(
+                    self._local(*local), touched, carried, spread)
             return tab
 
         # each old entry extends once per smoothing, r = 0 then r = 1; then
@@ -315,6 +332,8 @@ class _Scan:
         # smoothing 1 (this order of the new entries fixes the elimination
         # order).  An entry term (t-power, dots mask, coeff) adds its
         # t-power to every key of the mask's table and scales it by coeff.
+        # An image of one term is a dict display, not a comprehension:
+        # CPython 3.11 calls a comprehension as a function, once per entry.
         count = 0
         pairs: dict = {}    # (m1, m2) -> fuse table per smoothing
         for g1, row in old_out.items():
@@ -336,17 +355,23 @@ class _Scan:
                     for r in (0, 1):
                         src, tgt = src_r[r], tgt_r[r]
                         for lam1, lam2, terms in tabs[r][mask]:
-                            if terms:
-                                s, t = src[lam1], tgt[lam2]
-                                out[s][t] = inc[t][s] = {
-                                    k + tbits: coeff * m for k, m in terms}
-                                count += 1
+                            if len(terms) == 1:
+                                [(k, m)] = terms
+                                image = {k + tbits: coeff * m}
+                            elif terms:
+                                image = {k + tbits: coeff * m for k, m in terms}
+                            else:
+                                continue
+                            s, t = src[lam1], tgt[lam2]
+                            out[s][t] = inc[t][s] = image
+                            count += 1
                     continue
                 # several terms: their images may cancel
                 for r in (0, 1):
                     src, tgt = src_r[r], tgt_r[r]
-                    tables = [(key & ~_MASK, coeff, tabs[r][key & _MASK])
-                              for key, coeff in entry.items()]
+                    tables = []
+                    for key, coeff in entry.items():
+                        tables.append((key & ~_MASK, coeff, tabs[r][key & _MASK]))
                     for i, (lam1, lam2, _) in enumerate(tables[0][2]):
                         acc: dict = {}
                         for tbits, coeff, terms in tables:
@@ -369,10 +394,16 @@ class _Scan:
             src, tgt = ids[g]
             coeff = -1 if h % 2 else 1
             for lam1, lam2, terms in tab[0]:
-                if terms:
-                    s, t = src[lam1], tgt[lam2]
-                    out[s][t] = inc[t][s] = {k: coeff * mult for k, mult in terms}
-                    count += 1
+                if len(terms) == 1:
+                    [(k, m)] = terms
+                    image = {k: coeff * m}
+                elif terms:
+                    image = {k: coeff * m for k, m in terms}
+                else:
+                    continue
+                s, t = src[lam1], tgt[lam2]
+                out[s][t] = inc[t][s] = image
+                count += 1
         self.fused_entries += count
 
     # -- Gaussian elimination --------------------------------------------------
@@ -453,13 +484,13 @@ class _Scan:
                     tmpl = tmpls.get(m_y)
                     if tmpl is None:
                         tmpl = tmpls[m_y] = _compose_template(
-                            ms[m_x], ms[m_mid], ms[m_y])
+                            ms[m_x], ms[m_mid], ms[m_y], self._local)
                     if single and term:
                         # the keys of one expansion are distinct, so the
                         # product of two single terms adds in place
                         mask2, t2, c2 = term
                         table, m1 = tmpl
-                        terms = table[mask1 | mask2 << m1]
+                        [(_, _, terms)] = table[mask1 | mask2 << m1]
                         tbits = t1 + t2
                         cc = cx * c2
                         # the terms are sorted, so a key 0 comes first
@@ -497,9 +528,8 @@ class _Scan:
 
 class _LocalTable(dict):
     """local dot mask -> (lam_src, lam_tgt, ``Glue.expand`` result) per
-    label pair of the new circles, for one local fuse surface; filled on
-    use and shared by every fuse template whose local surface has the same
-    components in a scan."""
+    label pair of the new circles, for one local surface; filled on use and
+    shared by every template of a scan whose local surface has its groups."""
 
     def __init__(self, glue: Glue, capdots: tuple):
         self.glue = glue
@@ -511,45 +541,69 @@ class _LocalTable(dict):
         return terms
 
 
-class _FuseTable(dict):
-    """dot mask -> (lam_src, lam_tgt, packed expansion) per label pair, for
-    one fuse template: the local surface's expansion of the touched cycles'
-    dots, with each untouched cycle's dot carried to its out cycle."""
+class _Template(dict):
+    """dot mask -> (lam_src, lam_tgt, packed expansion sorted by key) per
+    label pair, for one fuse or compose template: the local surface's
+    expansion, with each identity component's dots carried to its out cycle."""
 
-    def __init__(self, local: _LocalTable, touched: list, carried: list,
+    def __init__(self, local: _LocalTable, pieces: list, carried: list,
                  spread: list):
         self.local = local
-        self.touched = touched
-        self.carried = carried
+        self.pieces = pieces    # local piece -> dot bit
+        self.carried = carried  # (dot bits, out cycle) per identity component
         self.spread = [0]   # local out mask -> out mask
         for cyc in spread:
             self.spread += [om | 1 << cyc for om in self.spread]
 
     def __missing__(self, mask):
         local_mask = 0
-        for i, c in enumerate(self.touched):
+        for i, c in enumerate(self.pieces):
             local_mask |= (mask >> c & 1) << i
         fixed = 0
-        for c, cyc in self.carried:
-            fixed |= (mask >> c & 1) << cyc
+        for bits, cyc in self.carried:
+            d = (mask & bits).bit_count()
+            fixed += (d >> 1 << MASK_BITS) + ((d & 1) << cyc)
         spread = self.spread
-        terms = self[mask] = tuple(
-            (lam1, lam2, tuple((key_of(t, spread[om] | fixed), mult)
-                               for om, mult, t in expansion))
-            for lam1, lam2, expansion in self.local[local_mask])
+        terms = []
+        for lam1, lam2, expansion in self.local[local_mask]:
+            packed = []
+            for om, mult, t in expansion:
+                packed.append(((t << MASK_BITS) + spread[om] + fixed, mult))
+            terms.append((lam1, lam2, tuple(sorted(packed))))
+        terms = self[mask] = tuple(terms)
         return terms
 
 
-def _compose_template(ma: tuple, mb: tuple, mc: tuple) -> tuple:
+def _compose_template(ma: tuple, mb: tuple, mc: tuple, local=None) -> tuple:
     """(table, m1) for entries ma -> mb -> mc: the packed expansions of the
-    glued cobordism by dot masks (mask1 | mask2 << m1)."""
+    glued cobordism by dot masks (mask1 | mask2 << m1).  The strips carry
+    their dots, and ``local`` (by default a new table) gives the rest."""
     pc1, firsts1 = cycles_of(ma, mb)
-    pc2, firsts2 = cycles_of(mb, mc)
-    _, firsts3 = cycles_of(ma, mc)
+    pc2, _ = cycles_of(mb, mc)
+    pc3, firsts3 = cycles_of(ma, mc)
     m1 = len(firsts1)
-    contacts = [(pc1[p], m1 + pc2[p]) for p, _ in mb]
-    boundary = [(pc1[p], ("out", cyc)) for cyc, p in enumerate(firsts3)]
-    return _ExpansionTable(Glue(m1 + len(firsts2), contacts, boundary)), m1
+    strips = set(ma).intersection(mb, mc)
+    pieces: dict = {}   # dot bit -> local piece
+    contacts = []
+    carried = []
+    for arc in mb:
+        p = arc[0]
+        b1, b2 = pc1[p], m1 + pc2[p]
+        if arc in strips:
+            carried.append((1 << b1 | 1 << b2, pc3[p]))
+        else:
+            contacts.append((pieces.setdefault(b1, len(pieces)),
+                             pieces.setdefault(b2, len(pieces))))
+    boundary = []
+    spread = []
+    for cyc, p in enumerate(firsts3):
+        at = pieces.get(pc1[p])     # None on a strip
+        if at is not None:
+            boundary.append((at, ("out", len(spread))))
+            spread.append(cyc)
+    args = (len(pieces), tuple(contacts), tuple(boundary))
+    local = local(*args) if local else _LocalTable(Glue(*args), _capdots(0, 0))
+    return _Template(local, list(pieces), carried, spread), m1
 
 
 def _compose(tmpl: tuple, e1: dict, e2: dict) -> dict:
@@ -563,7 +617,7 @@ def _compose(tmpl: tuple, e1: dict, e2: dict) -> dict:
             mask2 = k2 & _MASK
             tbits = k1 - mask1 + k2 - mask2
             c = c1 * c2
-            for k, m in table[mask1 | mask2 << m1]:
+            for k, m in table[mask1 | mask2 << m1][0][2]:
                 k3 = k + tbits
                 c3 = acc.get(k3, 0) + c * m
                 if c3:
@@ -571,19 +625,6 @@ def _compose(tmpl: tuple, e1: dict, e2: dict) -> dict:
                 else:
                     acc.pop(k3, None)
     return acc
-
-
-class _ExpansionTable(dict):
-    """dot mask -> packed expansion of one glue template, sorted by key,
-    filled on use."""
-
-    def __init__(self, glue: Glue):
-        self.glue = glue
-
-    def __missing__(self, dots):
-        terms = self[dots] = tuple(sorted(
-            (key_of(tadd, om), mult) for om, mult, tadd in self.glue.expand(dots)))
-        return terms
 
 
 @cache

@@ -1,9 +1,12 @@
 import hashlib
+import importlib
+import pkgutil
 import random
 from collections import Counter
 
 import pytest
 
+import knotrank
 from cube_oracle import (CubeComplex, deformed_factors, kh_table,
                          smith_over_poly_ring)
 from knotrank._tangle import scan_order
@@ -486,3 +489,61 @@ def test_scan_work_counters(corpus, name):
     scan = KnotScan(pinned_diagram(corpus, name)).final_complex()
     assert (scan.next_gid, scan.peak_fused, scan.fused_entries, scan.pivots,
             scan.composites) == SCAN_WORK[name]
+
+
+# Glue objects built by each pinned scan: one per local surface of the
+# scan, looked up by its inputs (one per template per step before:
+# 374, 451, 564, 1520, 740, 38, 370 and 142)
+GLUE_BUILDS = {
+    "18nh_00159590": 127,
+    "18nh_00752242": 136,
+    "19nh_000129633": 128,
+    "19nh_000305767": 188,
+    "symunion24": 158,
+    "6_2": 29,
+    "mirror(18nh_00159590)": 125,
+    "su8_seed143": 76,
+}
+
+
+@pytest.mark.parametrize("name", GLUE_BUILDS)
+def test_glue_builds(corpus, name):
+    scan = KnotScan(pinned_diagram(corpus, name)).final_complex()
+    assert scan.glues == GLUE_BUILDS[name]
+
+
+def module_caches() -> dict:
+    """Size of every module-level cache and container of the package."""
+    sizes = {}
+    for info in pkgutil.iter_modules(knotrank.__path__):
+        module = importlib.import_module(f"knotrank.{info.name}")
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_info"):
+                sizes[info.name, name] = obj.cache_info().currsize
+            elif isinstance(obj, (dict, list, set)) and not name.startswith("__"):
+                sizes[info.name, name] = len(obj)
+    return sizes
+
+
+def test_scans_keep_no_tables(corpus):
+    # a census scans thousands of knots in one process: a finished scan
+    # holds no template tables, and no module-level cache grows with the
+    # number of knots scanned.  cycles_of is cleared when a scan starts;
+    # the caches keyed on small ints (circle, genus and dot counts) are
+    # bounded whatever is scanned.
+    bounded = {("cobordism", "_delta_tensor"), ("cobordism", "open_expansion"),
+               ("khovanov", "_capdots")}
+    probe = corpus["6_2"]
+    KnotScan(probe).final_complex()
+    before = module_caches()
+    for a, b in (("3_1", "6_1"), ("4_1", "6_2"), ("5_1", "5_1"), ("6_1", "4_1")):
+        scan = KnotScan(connected_sum(corpus[a], mirror(corpus[b]))).final_complex()
+        assert not (scan.locals or scan.expansions or scan.compose_cache)
+    KnotScan(probe).final_complex()
+    after = module_caches()
+    assert before.keys() == after.keys()
+    for key, size in after.items():
+        if key in bounded:
+            assert size <= 64, key
+        else:
+            assert size == before[key], key
