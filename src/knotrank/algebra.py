@@ -161,9 +161,6 @@ class LaurentPolynomial:
     def max_exp(self) -> int:
         return max(self.coeffs) if self.coeffs else 0
 
-    def exponents(self) -> list[int]:
-        return sorted(self.coeffs)
-
     # -- conversions / evaluation -------------------------------------------
 
     def q_to_t(self) -> "LaurentPolynomial":

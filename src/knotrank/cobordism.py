@@ -27,10 +27,6 @@ from ._unionfind import UnionFind
 MASK_BITS = 24
 
 
-def split_key(key: int) -> tuple[int, int]:
-    return key >> MASK_BITS, key & ((1 << MASK_BITS) - 1)
-
-
 # ---------------------------------------------------------------------------
 # cycles of the union of two matchings
 
@@ -144,20 +140,27 @@ def open_expansion(genus: int, dots: int, m: int):
 # gluing templates
 
 
-class Glue:
-    """Merged-component structure of a glued cobordism.
+class Glue(dict):
+    """Merged-component structure of a glued cobordism, and its table.
 
     Pieces are glued along contacts; every merged component records its
     genus contribution data and where its dots and caps come from, plus
     the output cycles it owns.  ``expand(dotbits, caps)`` produces the
     normal form as a list of (out_mask, integer coeff, t-power).
+
+    The glue is also the table of its expansions, filled on use: a dot
+    mask maps to one (lam_src, lam_tgt, ``expand(mask, caps)``) per entry
+    (lam_src, lam_tgt, caps) of ``capdots``, by default the one label pair
+    (0, 0) with no caps.
     """
 
-    __slots__ = ("groups",)
+    __slots__ = ("groups", "capdots")
 
-    def __init__(self, n_pieces: int, contacts, boundary):
+    def __init__(self, n_pieces: int, contacts, boundary,
+                 capdots: tuple = ((0, 0, ()),)):
         """contacts: iterable of (piece, piece); boundary: list of
         (piece, ('out', cycle_index) | ('cap', cap_id))."""
+        self.capdots = capdots
         joined = UnionFind()
         edges = list(contacts)
         for u, v in edges:
@@ -194,6 +197,11 @@ class Glue:
                     piecemask |= 1 << i
             groups.append((genus, piecemask, tuple(outs), tuple(cap_ids)))
         self.groups = tuple(groups)
+
+    def __missing__(self, mask):
+        terms = self[mask] = tuple((lam1, lam2, self.expand(mask, caps))
+                                   for lam1, lam2, caps in self.capdots)
+        return terms
 
     def expand(self, dot_pieces: int, cap_dots: tuple = ()) -> tuple:
         """Normal form of the glued cobordism.

@@ -25,6 +25,7 @@ diagrams and never mutate their inputs.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -198,60 +199,30 @@ def _cycles(succ: dict) -> tuple[tuple[int, ...], ...]:
 # parsing and files
 
 
+# a PD code after whitespace removal: 4-tuples of ASCII digits in brackets,
+# commas between tuples optional, a trailing comma in a tuple allowed
+_PD_CODE = re.compile(r"\[(?:,|\[[0-9]+(?:,[0-9]+){3},?\])*\]")
+_PD_TUPLE = re.compile(r"\[([0-9]+(?:,[0-9]+){3}),?\]")
+
+
 def parse_pd(text: str, name: str | None = None) -> Diagram:
     """Parse a PD code: nested brackets of 4-tuples, or ``U`` per unknot."""
     stripped = "".join(text.split())
     if not stripped:
         raise InvalidDiagram("empty PD text")
-    unknots = 0
-    while stripped.upper().endswith("U"):
-        unknots += 1
-        stripped = stripped[:-1]
-    while stripped.upper().startswith("U"):
-        unknots += 1
-        stripped = stripped[1:]
-    if not stripped:
+    code = stripped.strip("Uu")
+    unknots = len(stripped) - len(code)
+    if not code:
         return Diagram((), unknots, name)
-    if not (stripped.startswith("[") and stripped.endswith("]")):
-        raise InvalidDiagram(f"PD code must be bracketed: {text!r}")
-    inner = stripped[1:-1]
-    tuples = []
-    depth = 0
-    current: list[str] = []
-    buf = ""
-    for ch in inner:
-        if ch == "[":
-            depth += 1
-            if depth > 1:
-                raise InvalidDiagram("brackets nested too deep")
-            current = []
-            buf = ""
-        elif ch == "]":
-            if depth != 1:
-                raise InvalidDiagram("unbalanced brackets")
-            depth -= 1
-            if buf:
-                current.append(buf)
-            if len(current) != 4:
-                raise InvalidDiagram(f"tuple {current} does not have 4 entries")
-            tuples.append(tuple(int(x) for x in current))
-            buf = ""
-        elif ch == ",":
-            if depth == 1:
-                if not buf:
-                    raise InvalidDiagram("empty entry in tuple")
-                current.append(buf)
-                buf = ""
-            # commas between tuples are ignored
-        elif ch.isdigit():
-            if depth != 1:
-                raise InvalidDiagram(f"digit outside tuple in {text!r}")
-            buf += ch
-        else:
-            raise InvalidDiagram(f"unexpected character {ch!r} in PD code")
-    if depth:
-        raise InvalidDiagram("unbalanced brackets")
-    return Diagram(tuple(tuples), unknots, name)
+    if not _PD_CODE.fullmatch(code):
+        raise InvalidDiagram(
+            f"PD code must be bracketed 4-tuples of ASCII digits: {text!r}")
+    try:
+        tuples = tuple(tuple(int(x) for x in t.split(","))
+                       for t in _PD_TUPLE.findall(code))
+    except ValueError as exc:   # a label past int()'s digit limit
+        raise InvalidDiagram(str(exc)) from None
+    return Diagram(tuples, unknots, name)
 
 
 def parse_diagram_lines(text: str) -> list[Diagram | InvalidDiagram]:

@@ -95,11 +95,7 @@ def det_from_jones(d: Diagram) -> int:
     """|V(-1)|, evaluated exactly via q at a square root of -1."""
     if not d.is_knot:
         raise ValueError("determinant via Jones is defined here for knots")
-    return _det_of(jones(d))
-
-
-def _det_of(v: JonesPolynomial) -> int:
-    c0, c1, c2, c3 = v.poly.evaluate_zeta8(2)
+    c0, c1, c2, c3 = jones(d).poly.evaluate_zeta8(2)
     if c1 or c3 or (c0 and c2):
         raise ValueError(f"V(-1) not a Gaussian integer of the expected form: {(c0, c1, c2, c3)}")
     return abs(c0) if c0 else abs(c2)

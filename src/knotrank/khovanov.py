@@ -24,14 +24,15 @@ templates are crossing-local.  A cycle of m1 u m2 through no closing
 slot, and an arc of all three of ma, mb, mc (a strip), is an identity
 component: it only carries its dots to its out cycle, two dots making
 one power of t.  The rest is a local surface: one ``Glue`` per surface
-is built in a scan, and its expansions are shared by their component
-structure.  Fusing and composing read per-template tables, sorted by key:
-the packed expansion of each dot mask (for fusing, for every label pair
-of the new circles), so an entry term only adds its t-power and scales
-by its coefficient.  The output masks of one expansion are distinct
-(each output cycle lies on one glued component), so the image of a
-single term, or the composite of two, cannot cancel and is built
-directly; only entries of several terms accumulate and cancel.
+is built in a scan, and the glue is the table of its expansions, shared
+by component structure.  Fusing and composing read per-template tables,
+sorted by key: the packed expansion of each dot mask (for fusing, for
+every label pair of the new circles), so an entry term only adds its
+t-power and scales by its coefficient.  The output masks of one
+expansion are distinct (each output cycle lies on one glued component),
+so the image of a single term cannot cancel and is built directly.
+Elimination composes in place: each term of a composite is subtracted
+from the entry it updates as soon as it is read.
 
 Within a step the scan names each distinct matching by a small int, so
 generators, templates and tables key and compare on ints; the ids are
@@ -66,10 +67,11 @@ t = X^2); every entry of the final complex is a monomial c * X^power.
 Links are scanned closed (no cut); only unreduced ranks apply there,
 read off at t = 0.
 
-:class:`KnotScan` is the one place where scan options enter: it fixes
-the crossing order, the cut edge, the generator budget and the deadline,
-and runs the scan once.  The readers take a diagram or a ``KnotScan`` and
-no options of their own.
+:class:`KnotScan` is the scan, and the one place where scan options
+enter: it fixes the crossing order, the cut edge, the generator budget
+and the deadline, runs once when first read, and holds the final
+complex.  The readers take a diagram or a ``KnotScan`` and no options of
+their own.
 """
 
 from __future__ import annotations
@@ -83,7 +85,7 @@ from functools import cache
 
 from ._tangle import ARCS_0, ARCS_1, CrossingStep, merge_matching, scan_order
 from .algebra import QQ, CoefficientField, LaurentPolynomial
-from .cobordism import MASK_BITS, Glue, cycles_of, split_key
+from .cobordism import MASK_BITS, Glue, cycles_of
 from .diagram import Diagram
 
 
@@ -156,8 +158,19 @@ _UNITS = (1, -1)    # the pivots that Gaussian elimination over Z may cancel
 _MASK = (1 << MASK_BITS) - 1    # the dot-mask bits of an entry key
 
 
-class _Scan:
-    """The complex of a scan, fused and eliminated one crossing at a time.
+class KnotScan:
+    """The integral scan of a diagram, run when first read.
+
+    Every scan option enters here, and the readers (:func:`khovanov_ranks`,
+    :func:`khovanov_pair`, :func:`deformed_module`) take a ``KnotScan`` in
+    place of the diagram, so that every field and flavour is read from one
+    scan.  ``order`` is the crossing order of the scan, which the Jones
+    contraction can share.  A knot with crossings is cut open at
+    ``basepoint``; a link is scanned closed.  ``max_generators`` (default
+    400,000) bounds the complex right after each crossing is fused in, and
+    ``deadline``, a :func:`time.monotonic` time, is checked before each
+    crossing.  A scan that raised :class:`ResourceLimit` is never read: the
+    next read runs it again from the start.
 
     While the scan runs, a generator's matching is a small int: the id of
     that matching among the distinct matchings of the current step, which
@@ -170,37 +183,53 @@ class _Scan:
     composites formed by elimination and ``glues`` the ``Glue`` objects
     built."""
 
-    def __init__(self, d: Diagram, order: list[int], cut_edge: int | None,
-                 budget: int, deadline: float | None):
-        self.d = d
-        self.order = order
-        self.cut_edge = cut_edge
-        self.budget = budget
+    def __init__(self, d: Diagram, *, basepoint: int | None = None,
+                 max_generators: int | None = None, deadline: float | None = None):
+        self.diagram = d
+        self.order = scan_order(d)
+        # the cut halves never close, so they add two boundary points from
+        # the first crossing on the cut edge to the end of the scan; the
+        # default cut, an edge of the order's last crossing, adds them only
+        # at the final step
+        self.cut_edge = None
+        if d.is_knot and d.crossings:
+            if basepoint is None:
+                basepoint = min(d.crossings[self.order[-1]])
+            elif basepoint not in d.successor:
+                raise ValueError(f"basepoint edge {basepoint} not in diagram")
+            self.cut_edge = basepoint
+        self.budget = 400_000 if max_generators is None else max_generators
         self.deadline = deadline
+        self.finished = False
+
+    def final_complex(self) -> KnotScan:
+        if not self.finished:
+            self.run()
+        return self
+
+    # -- main loop -----------------------------------------------------------
+
+    def run(self):
+        self.finished = False
         self.matchings: list = [()]              # match id -> matching
         self.gens: dict[int, tuple] = {0: (0, 0, 0)}    # gid -> (match, h, q)
         self.out: dict[int, dict] = {0: {}}      # src -> {tgt: entry}
         self.inc: dict[int, dict] = {0: {}}      # tgt -> {src: entry}
         self.next_gid = 1
         self.compose_cache: dict = {}   # (m_x, m_mid) -> {m_y: template}, per step
-        self.locals: dict = {}      # local surface's inputs -> _LocalTable
-        self.expansions: dict = {}  # local surface's groups -> _LocalTable
+        self.locals: dict = {}      # local surface's inputs -> Glue
+        self.expansions: dict = {}  # local surface's groups -> Glue
         self.glues = 0
         self.peak_fused = 0
         self.fused_entries = 0
         self.pivots = 0
         self.composites = 0
-
-    # -- main loop -----------------------------------------------------------
-
-    def run(self):
-        d = self.d
         cycles_of.cache_clear()   # keyed on matchings; keep it per-diagram
         open_pts: set = set()
         for ci in self.order:
             if self.deadline is not None and time.monotonic() > self.deadline:
                 raise ResourceLimit("scan deadline exceeded")
-            step = CrossingStep(d, ci, open_pts, self.cut_edge)
+            step = CrossingStep(self.diagram, ci, open_pts, self.cut_edge)
             self._fuse(step)
             size = len(self.gens)
             self.peak_fused = max(self.peak_fused, size)
@@ -214,20 +243,20 @@ class _Scan:
         self.expansions.clear()
         ms = self.matchings
         self.gens = {g: (ms[m], h, q) for g, (m, h, q) in self.gens.items()}
-        return self
+        self.finished = True
 
     def _local(self, n_pieces: int, contacts: tuple, boundary: tuple,
-               nc: tuple = (0, 0)) -> _LocalTable:
+               nc: tuple = (0, 0)) -> Glue:
         """The expansions of a local surface, looked up by its inputs and
         then by its components, so the scan builds one ``Glue`` per local
         surface and shares its expansions by structure."""
         key = (n_pieces, contacts, boundary, nc)
         local = self.locals.get(key)
         if local is None:
-            glue = Glue(n_pieces, contacts, boundary)
+            glue = Glue(n_pieces, contacts, boundary, _capdots(*nc))
             self.glues += 1
             local = self.locals[key] = self.expansions.setdefault(
-                (glue.groups, nc), _LocalTable(glue, _capdots(*nc)))
+                (glue.groups, nc), glue)
         return local
 
     # -- one crossing --------------------------------------------------------
@@ -444,17 +473,7 @@ class _Scan:
             pivots += 1
             m_mid = gens[s][0]
             preds = [(x, e) for x, e in inc[t].items() if x != s]
-            # each succ as (y, its generator, entry, and for a single term
-            # c2 * X^t2 with dots mask2: (mask2, t2, c2))
-            succs = []
-            for y, e in out[s].items():
-                if y != t:
-                    if len(e) == 1:
-                        [(k2, c2)] = e.items()
-                        mask2 = k2 & _MASK
-                        succs.append((y, gens[y], e, (mask2, k2 - mask2, c2)))
-                    else:
-                        succs.append((y, gens[y], e, None))
+            succs = [(y, gens[y], e) for y, e in out[s].items() if y != t]
             composites += len(preds) * len(succs)
             # detach s and t entirely
             for x in list(inc[s]):
@@ -470,53 +489,39 @@ class _Scan:
                 gx = gens[x]
                 m_x = gx[0]
                 row_x = out[x]
-                single = len(dx) == 1
-                if single:
-                    [(k1, c1)] = dx.items()
-                    mask1 = k1 & _MASK
-                    t1 = k1 - mask1
-                    cx = c * c1
                 tmpls = cache.get((m_x, m_mid))
                 if tmpls is None:
                     tmpls = cache[m_x, m_mid] = {}
-                for y, gy, ey, term in succs:
+                for y, gy, ey in succs:
                     m_y = gy[0]
                     tmpl = tmpls.get(m_y)
                     if tmpl is None:
                         tmpl = tmpls[m_y] = _compose_template(
                             ms[m_x], ms[m_mid], ms[m_y], self._local)
-                    if single and term:
-                        # the keys of one expansion are distinct, so the
-                        # product of two single terms adds in place
-                        mask2, t2, c2 = term
-                        table, m1 = tmpl
-                        [(_, _, terms)] = table[mask1 | mask2 << m1]
-                        tbits = t1 + t2
-                        cc = cx * c2
-                        # the terms are sorted, so a key 0 comes first
-                        zero = not tbits and terms and not terms[0][0]
-                    else:
-                        comp = _compose(tmpl, dx, ey)
-                        terms = comp.items()
-                        tbits = 0
-                        cc = c
-                        zero = 0 in comp
-                    if not terms:
-                        continue
+                    table, m1 = tmpl
                     cur = row_x.get(y)
                     if cur is None:
                         cur = row_x[y] = inc[y][x] = {}
-                    for k, m in terms:
-                        k += tbits
-                        nv = cur.get(k, 0) - cc * m
-                        if nv:
-                            cur[k] = nv
-                        else:
-                            del cur[k]
+                    key0 = cur.get(0)
+                    # subtract c * (e_y . d_x) from the entry x -> y term by
+                    # term; its key 0 changed iff the composite has a key 0
+                    for k1, c1 in dx.items():
+                        mask1 = k1 & _MASK
+                        for k2, c2 in ey.items():
+                            mask2 = k2 & _MASK
+                            tbits = k1 - mask1 + k2 - mask2
+                            cc = c * c1 * c2
+                            for k, m in table[mask1 | mask2 << m1][0][2]:
+                                k += tbits
+                                nv = cur.get(k, 0) - cc * m
+                                if nv:
+                                    cur[k] = nv
+                                else:
+                                    del cur[k]
                     if not cur:
                         del row_x[y]
                         del inc[y][x]
-                    elif (zero and cur.get(0) in _UNITS
+                    elif (cur.get(0) != key0 and cur.get(0) in _UNITS
                           and m_x == m_y and gx[2] == gy[2]):
                         heapq.heappush(
                             heap, ((len(inc[y]) - 1) * (len(row_x) - 1), x, y))
@@ -526,27 +531,12 @@ class _Scan:
         cache.clear()
 
 
-class _LocalTable(dict):
-    """local dot mask -> (lam_src, lam_tgt, ``Glue.expand`` result) per
-    label pair of the new circles, for one local surface; filled on use and
-    shared by every template of a scan whose local surface has its groups."""
-
-    def __init__(self, glue: Glue, capdots: tuple):
-        self.glue = glue
-        self.capdots = capdots
-
-    def __missing__(self, mask):
-        terms = self[mask] = tuple((lam1, lam2, self.glue.expand(mask, caps))
-                                   for lam1, lam2, caps in self.capdots)
-        return terms
-
-
 class _Template(dict):
     """dot mask -> (lam_src, lam_tgt, packed expansion sorted by key) per
     label pair, for one fuse or compose template: the local surface's
     expansion, with each identity component's dots carried to its out cycle."""
 
-    def __init__(self, local: _LocalTable, pieces: list, carried: list,
+    def __init__(self, local: Glue, pieces: list, carried: list,
                  spread: list):
         self.local = local
         self.pieces = pieces    # local piece -> dot bit
@@ -574,10 +564,11 @@ class _Template(dict):
         return terms
 
 
-def _compose_template(ma: tuple, mb: tuple, mc: tuple, local=None) -> tuple:
+def _compose_template(ma: tuple, mb: tuple, mc: tuple, local) -> tuple:
     """(table, m1) for entries ma -> mb -> mc: the packed expansions of the
     glued cobordism by dot masks (mask1 | mask2 << m1).  The strips carry
-    their dots, and ``local`` (by default a new table) gives the rest."""
+    their dots, and ``local(n_pieces, contacts, boundary)`` gives the
+    expansions of the rest."""
     pc1, firsts1 = cycles_of(ma, mb)
     pc2, _ = cycles_of(mb, mc)
     pc3, firsts3 = cycles_of(ma, mc)
@@ -601,30 +592,8 @@ def _compose_template(ma: tuple, mb: tuple, mc: tuple, local=None) -> tuple:
         if at is not None:
             boundary.append((at, ("out", len(spread))))
             spread.append(cyc)
-    args = (len(pieces), tuple(contacts), tuple(boundary))
-    local = local(*args) if local else _LocalTable(Glue(*args), _capdots(0, 0))
+    local = local(len(pieces), tuple(contacts), tuple(boundary))
     return _Template(local, list(pieces), carried, spread), m1
-
-
-def _compose(tmpl: tuple, e1: dict, e2: dict) -> dict:
-    """e2 . e1 for entries ma -> mb -> mc, read off the triple's
-    :func:`_compose_template`."""
-    table, m1 = tmpl
-    acc: dict = {}
-    for k1, c1 in e1.items():
-        mask1 = k1 & _MASK
-        for k2, c2 in e2.items():
-            mask2 = k2 & _MASK
-            tbits = k1 - mask1 + k2 - mask2
-            c = c1 * c2
-            for k, m in table[mask1 | mask2 << m1][0][2]:
-                k3 = k + tbits
-                c3 = acc.get(k3, 0) + c * m
-                if c3:
-                    acc[k3] = c3
-                else:
-                    acc.pop(k3, None)
-    return acc
 
 
 @cache
@@ -640,51 +609,6 @@ def _capdots(nc_src, nc_tgt) -> tuple:
 
 # ---------------------------------------------------------------------------
 # public computations
-
-
-def _pick_basepoint(d: Diagram, order: list[int], basepoint: int | None) -> int:
-    """The edge at which a knot scan in ``order`` is cut open.
-
-    The cut halves never close, so they add two boundary points from the
-    first crossing on the cut edge to the end of the scan.  The default is
-    an edge of the order's last crossing, which adds them only at the
-    final step.  An explicit ``basepoint`` must be an edge of ``d``.
-    """
-    if basepoint is None:
-        return min(d.crossings[order[-1]])
-    if basepoint not in d.successor:
-        raise ValueError(f"basepoint edge {basepoint} not in diagram")
-    return basepoint
-
-
-class KnotScan:
-    """The integral scan of a diagram, run when first read.
-
-    Every scan option enters here, and the readers (:func:`khovanov_ranks`,
-    :func:`khovanov_pair`, :func:`deformed_module`) take a ``KnotScan`` in
-    place of the diagram, so that every field and flavour is read from one
-    scan.  ``order`` is the crossing order of the scan, which the Jones
-    contraction can share.  A knot with crossings is cut open at
-    ``basepoint`` (by default an edge of the order's last crossing); a link
-    is scanned closed.  ``max_generators`` (default 400,000) bounds the
-    complex right after each crossing is fused in, and ``deadline``, a
-    :func:`time.monotonic` time, is checked before each crossing."""
-
-    def __init__(self, d: Diagram, *, basepoint: int | None = None,
-                 max_generators: int | None = None, deadline: float | None = None):
-        self.diagram = d
-        self.order = scan_order(d)
-        self.cut_edge = (_pick_basepoint(d, self.order, basepoint)
-                         if d.is_knot and d.crossings else None)
-        self.budget = 400_000 if max_generators is None else max_generators
-        self.deadline = deadline
-        self._scan = None
-
-    def final_complex(self) -> _Scan:
-        if self._scan is None:
-            self._scan = _Scan(self.diagram, self.order, self.cut_edge,
-                               self.budget, self.deadline).run()
-        return self._scan
 
 
 def khovanov_ranks(d: Diagram | KnotScan, field: CoefficientField = QQ,
@@ -725,18 +649,17 @@ def khovanov_pair(d: Diagram | KnotScan,
 # reading the final complex
 
 
-def _entries(scan: _Scan):
+def _entries(scan: KnotScan):
     """(source, target, c, power) for each entry c * X^power of the final
     complex (X = x, t = X^2; a closed scan has even powers only)."""
     for s, row in scan.out.items():
         for t, entry in row.items():
             assert len(entry) == 1, "inhomogeneous entry in final complex"
             for key, c in entry.items():
-                tp, mask = split_key(key)
-                yield s, t, c, 2 * tp + mask
+                yield s, t, c, 2 * (key >> MASK_BITS) + (key & _MASK)
 
 
-def _gradings(scan: _Scan) -> dict:
+def _gradings(scan: KnotScan) -> dict:
     return {g: (h, q) for g, (_, h, q) in scan.gens.items()}
 
 
@@ -769,7 +692,7 @@ def _with_circle(table: dict) -> dict:
     return dict(out)
 
 
-def _knot_tables(scan: _Scan, field: CoefficientField):
+def _knot_tables(scan: KnotScan, field: CoefficientField):
     """(reduced, unreduced) tables over ``field`` of a knot scan.
 
     Reduced: set X = 0, keeping the integer entries of power 0.

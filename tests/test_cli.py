@@ -103,6 +103,30 @@ def test_scan_malformed_line_is_one_error_record(tmp_path):
     assert records[3]["summary"]["aborted"] == 1
 
 
+@pytest.mark.parametrize("bad", ("[[1,4,2,5],[3,6,4,1],[5,2,6,\u00b2]]",
+                                 "[[1,4,2,5],[3,6,4,1],[5,2,6," + "3" * 5000 + "]]"),
+                         ids=("superscript-digit", "label-past-int-limit"))
+def test_unconvertible_digits_are_one_error_record(tmp_path, capsys, bad):
+    # a character that str.isdigit() accepts but int() does not, or a label
+    # longer than int() converts, is an error for its own line only
+    c = load_corpus()
+    path = tmp_path / "three.txt"
+    path.write_text(f"3_1\t{c['3_1'].pd_text}\nbad\t{bad}\n"
+                    f"6_1\t{c['6_1'].pd_text}\n", encoding="utf-8")
+    out = tmp_path / "r.jsonl"
+    assert main(["scan", "--input", str(path), "--fields", "f2",
+                 "--out", str(out)]) == 2
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [r.get("name") for r in records[:3]] == ["3_1", "bad", "6_1"]
+    assert records[1]["error"].startswith("InvalidDiagram: ")
+    assert "error" not in records[0] and "error" not in records[2]
+    capsys.readouterr()
+    assert main(["jones", str(path)]) == 2
+    rows = capsys.readouterr().out.splitlines()
+    assert [row.split("\t")[0] for row in rows] == ["3_1", "bad", "6_1"]
+    assert rows[1] == "bad\t-\t-\t-"
+
+
 @pytest.mark.parametrize("command", (["jones"], ["alexander"], ["arf"],
                                      ["kh", "--field", "f3"]),
                          ids=lambda c: c[0])

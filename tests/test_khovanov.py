@@ -7,17 +7,17 @@ from collections import Counter
 import pytest
 
 import knotrank
+from compose_oracle import compose_template_glued
 from cube_oracle import (CubeComplex, deformed_factors, kh_table,
                          smith_over_poly_ring)
 from knotrank._tangle import scan_order
 from knotrank.algebra import F2, F3, QQ, CoefficientField
-from knotrank.cobordism import cycles_of
+from knotrank.cobordism import MASK_BITS, cycles_of
 from knotrank.corpus import RIBBON_NAMES, load_corpus
 from knotrank.diagram import connected_sum, disjoint_union, mirror, parse_pd
 from knotrank.jones import jones
 from knotrank.khovanov import (DeformedModule, KnotScan, ResourceLimit,
-                               _compose, _compose_template, _entries,
-                               _monomial_smith, deformed_module,
+                               _entries, _monomial_smith, deformed_module,
                                khovanov_pair, khovanov_ranks)
 from knotrank.scanner import compute_report
 
@@ -179,7 +179,7 @@ def test_deadline_keeps_finished_scan(corpus, monkeypatch):
     d = corpus["6_2"]
     expected = khovanov_pair(d, F3)
     fused = []
-    real_fuse = khovanov._Scan._fuse
+    real_fuse = khovanov.KnotScan._fuse
 
     def counting_fuse(self, step):
         fused.append(step)
@@ -190,7 +190,7 @@ def test_deadline_keeps_finished_scan(corpus, monkeypatch):
         def monotonic():
             return 10.0 if len(fused) == len(d.crossings) else 0.0
 
-    monkeypatch.setattr(khovanov._Scan, "_fuse", counting_fuse)
+    monkeypatch.setattr(khovanov.KnotScan, "_fuse", counting_fuse)
     monkeypatch.setattr(khovanov, "time", Clock)
     assert khovanov_pair(KnotScan(d, deadline=1.0), F3) == expected
     assert len(fused) == len(d.crossings)
@@ -252,6 +252,17 @@ def test_links_unreduced(corpus):
     split = disjoint_union(corpus["3_1"], corpus["unknot"])
     t2 = khovanov_ranks(split, QQ, reduced=False)
     assert t2.total == 8  # Kh(3_1) tensor (q + 1/q)
+
+
+def test_failed_scan_is_never_read(corpus):
+    # a scan that ran past its budget or its deadline raises on every read,
+    # so no reader sees the complex it left half-built
+    d = corpus["18nh_00159590"]
+    for scan in (KnotScan(d, max_generators=50), KnotScan(d, deadline=-1.0)):
+        with pytest.raises(ResourceLimit):
+            scan.final_complex()
+        with pytest.raises(ResourceLimit):
+            khovanov_pair(scan, F2)
 
 
 def test_closed_scan_torus_link_t24():
@@ -376,7 +387,9 @@ def test_deformed_rejects_f2(corpus):
 def test_final_differential_squares_to_zero(corpus):
     # the integral scan keeps a nonzero differential, with entries such as
     # 2 and 2X on 18nh_00159590; check d . d = 0 exactly over Z by
-    # accumulating all length-2 compositions through the cobordism algebra
+    # accumulating all length-2 compositions through the cobordism algebra,
+    # each glued whole by the oracle
+    mask = (1 << MASK_BITS) - 1
     for name in ("6_2", "18nh_00159590"):
         d = corpus[name]
         scan = KnotScan(d).final_complex()
@@ -384,16 +397,18 @@ def test_final_differential_squares_to_zero(corpus):
         for s, row in scan.out.items():
             for mid, e1 in row.items():
                 for t, e2 in scan.out.get(mid, {}).items():
-                    comp = _compose(_compose_template(
-                        scan.gens[s][0], scan.gens[mid][0], scan.gens[t][0]),
-                        e1, e2)
+                    table, m1 = compose_template_glued(
+                        scan.gens[s][0], scan.gens[mid][0], scan.gens[t][0])
                     cell = square.setdefault((s, t), {})
-                    for k, v in comp.items():
-                        nv = cell.get(k, 0) + v
-                        if nv:
-                            cell[k] = nv
-                        else:
-                            cell.pop(k, None)
+                    for k1, c1 in e1.items():
+                        for k2, c2 in e2.items():
+                            tbits = (k1 & ~mask) + (k2 & ~mask)
+                            for k, m in table[k1 & mask | (k2 & mask) << m1]:
+                                nv = cell.get(k + tbits, 0) + c1 * c2 * m
+                                if nv:
+                                    cell[k + tbits] = nv
+                                else:
+                                    cell.pop(k + tbits, None)
         assert square and all(not cell for cell in square.values()), name
 
 

@@ -185,8 +185,8 @@ def test_each_invariant_computed_once(corpus, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(khovanov._Scan, "run",
-                        counted("scan", khovanov._Scan.run))
+    monkeypatch.setattr(khovanov.KnotScan, "run",
+                        counted("scan", khovanov.KnotScan.run))
     for module, attr, name in (("khovanov", "scan_order", "scan_order"),
                                ("jones", "scan_order", "scan_order"),
                                ("scanner", "alexander_polynomial", "alexander"),
