@@ -28,13 +28,21 @@ from .scanner import render_csv, render_jsonl, scan
 from .symunion import random_symmetric_union
 
 
+def _field(token: str):
+    """A field spec as an argparse type: a bad one is a usage error."""
+    try:
+        return parse_field(token)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _rows(path: str, row, placeholder: str) -> int:
     """Print ``row(d)`` for each diagram of the file at ``path``.  A line that does
-    not parse, or a diagram that ``row`` rejects with a ValueError, prints
-    its error to stderr and ``placeholder`` in its place, and the command
-    goes on and exits 2."""
+    not parse (a byte that is not UTF-8 reads as U+FFFD), or a diagram that
+    ``row`` rejects with a ValueError, prints its error to stderr and
+    ``placeholder`` in its place, and the command goes on and exits 2."""
     status = 0
-    for d in parse_diagram_lines(Path(path).read_text()):
+    for d in parse_diagram_lines(Path(path).read_text("utf-8", "replace")):
         try:
             if isinstance(d, InvalidDiagram):
                 raise d
@@ -75,14 +83,12 @@ def _cmd_arf(args) -> int:
 
 
 def _cmd_kh(args) -> int:
-    fld = parse_field(args.field)
-
     def row(d):
         knot_scan = KnotScan(d)
         if args.deformed:
             # deformed_module first, so that a link or F2 gets its error
-            dm = deformed_module(knot_scan, fld)
-        table = khovanov_ranks(knot_scan, fld, reduced=not args.unreduced)
+            dm = deformed_module(knot_scan, args.field)
+        table = khovanov_ranks(knot_scan, args.field, reduced=not args.unreduced)
         line = (f"{d.name}\t{table.total}\t{table.mod(4)}\t{table.mod(8)}"
                 f"\t{json.dumps(table.table_json())}")
         if args.deformed:
@@ -100,17 +106,16 @@ def _cmd_symunion(args) -> int:
         diagrams.append(d.with_name(f"su_{args.seed + k}"))
     text = format_diagram_file(diagrams)
     if args.out:
-        Path(args.out).write_text(text)
+        Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
     return 0
 
 
 def _cmd_scan(args) -> int:
-    # a line that does not parse becomes an error record, not an abort
-    diagrams = parse_diagram_lines(Path(args.input).read_text())
-    fields = [f.strip() for f in args.fields.split(",") if f.strip()]
-    reports = scan(diagrams, fields, jobs=args.jobs,
+    # a line that does not parse, or is not UTF-8, becomes an error record
+    diagrams = parse_diagram_lines(Path(args.input).read_text("utf-8", "replace"))
+    reports = scan(diagrams, args.fields, jobs=args.jobs,
                    with_deformed=args.deformed, timeout=args.timeout,
                    max_generators=args.max_generators)
     if args.format == "csv":
@@ -118,7 +123,7 @@ def _cmd_scan(args) -> int:
     else:
         text = render_jsonl(reports, include_timing=args.timings)
     if args.out:
-        Path(args.out).write_text(text)
+        Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
     return 2 if any(r.error for r in reports) else 0
@@ -143,7 +148,8 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("kh", help="Khovanov homology ranks")
     p.add_argument("file")
-    p.add_argument("--field", default="q", help="q or f<p> (default q)")
+    p.add_argument("--field", type=_field, default="q",
+                   help="q or f<p> (default q)")
     p.add_argument("--unreduced", action="store_true")
     p.add_argument("--deformed", action="store_true",
                    help="append free rank, torsion orders and xo over A[X]")
@@ -162,7 +168,8 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("scan", help="batch invariants and conjecture flags")
     p.add_argument("--input", required=True)
-    p.add_argument("--fields", default="f2,f3,f211,q")
+    p.add_argument("--fields", default="f2,f3,f211,q",
+                   type=lambda text: [_field(f) for f in text.split(",") if f.strip()])
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out")
     p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")

@@ -15,7 +15,8 @@ their smallest boundary point).
 Everything topological is funneled through one routine: gluing a
 collection of surface pieces along contacts, computing the genus of each
 merged component from its Euler characteristic, and expanding the result
-back into the normal form with iterated comultiplication.
+back into the normal form by one closed formula per component
+(:func:`open_expansion`).
 """
 
 from __future__ import annotations
@@ -66,74 +67,23 @@ def cycles_of(ma: tuple, mb: tuple):
 
 
 # ---------------------------------------------------------------------------
-# the Frobenius algebra V = A[x]/(x^2 - t): expansion templates
-
-# H = m . Delta is the handle operator: H(1) = 2x, H(x) = 2t.
-
-
-def _monomial(genus: int, dots: int):
-    """x^dots * H^genus(1) as (integer coeff, x-exponent in {0,1}, t-power)."""
-    coeff = 1 << genus
-    xexp = dots + (genus & 1)
-    tpow = genus >> 1
-    tpow += xexp >> 1
-    xexp &= 1
-    return coeff, xexp, tpow
-
-
-def closed_value(genus: int, dots: int):
-    """Evaluation of a closed component: counit of x^dots H^genus(1)."""
-    coeff, xexp, tpow = _monomial(genus, dots)
-    if xexp == 0:
-        return None
-    return coeff, tpow
-
-
-@lru_cache(maxsize=None)
-def _delta_tensor(m: int, xexp: int):
-    """Delta^(m-1)(x^xexp) as {bitmask over m outputs: (coeff, t-power)}."""
-    if m == 1:
-        return {xexp: (1, 0)}
-    prev = _delta_tensor(m - 1, xexp)
-    out = {}
-    for mask, (c, t) in prev.items():
-        low = mask & 1
-        rest = mask >> 1
-        # comultiply the lowest tensor factor into two
-        if low == 0:
-            # Delta(1) = 1 x + x 1
-            for pair in (0b01, 0b10):
-                k = (rest << 2) | pair
-                _acc(out, k, c, t)
-        else:
-            # Delta(x) = x x + t 1 1
-            _acc(out, (rest << 2) | 0b11, c, t)
-            _acc(out, (rest << 2) | 0b00, c, t + 1)
-    return out
-
-
-def _acc(d, k, c, t):
-    cur = d.get(k)
-    if cur is None:
-        d[k] = (c, t)
-    else:
-        assert cur[1] == t, "inhomogeneous accumulation"
-        c2 = cur[0] + c
-        if c2:
-            d[k] = (c2, t)
-        else:
-            del d[k]
+# the Frobenius algebra V = A[x]/(x^2 - t): expansions in closed form
 
 
 @lru_cache(maxsize=None)
 def open_expansion(genus: int, dots: int, m: int):
     """A connected component with ``m`` boundary cycles, given genus and
-    dots, in normal form: tuple of (bitmask over the m cycles, coeff, tpow)."""
-    coeff, xexp, tpow = _monomial(genus, dots)
-    out = []
-    for mask, (c, t) in _delta_tensor(m, xexp).items():
-        out.append((mask, coeff * c, tpow + t))
-    return tuple(out)
+    dots, in normal form: tuple of (bitmask over the m cycles, coeff, tpow).
+
+    The component is Delta^(m-1)(x^dots H^genus(1)), with the handle
+    operator H(1) = 2x, H(x) = 2t and Delta(1) = 1 x + x 1,
+    Delta(x) = x x + t 1 1.  With n = dots + genus + m - 1 that is 2^genus
+    times the sum of t^((n - |M|)/2) x^M over the masks M with n - |M|
+    even and >= 0.  For m = 0 it is the counit, nonzero only when
+    dots + genus is odd."""
+    n = dots + genus + m - 1
+    return tuple((mask, 1 << genus, (n - k) >> 1) for mask in range(1 << m)
+                 if (k := mask.bit_count()) <= n and (n - k) % 2 == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -218,14 +168,6 @@ class Glue(dict):
             d = (dot_pieces & piecemask).bit_count()
             for cid in cap_ids:
                 d += cap_dots[cid]
-            if not outs:
-                val = closed_value(genus, d)
-                if val is None:
-                    terms = []
-                    break
-                c0, t0 = val
-                terms = [(m, c * c0, t + t0) for (m, c, t) in terms]
-                continue
             local = open_expansion(genus, d, len(outs))
             new_terms = []
             for m, c, t in terms:

@@ -55,17 +55,20 @@ the final step.  The end object is then a single arc whose endomorphisms
 form B = Z[x]/(x^2 - t), which is the polynomial ring Z[X] (X = x,
 t = X^2); every entry of the final complex is a monomial c * X^power.
 
-  * reduced Khovanov homology: set X = 0; the entries of power 0 form a
-    complex of integer matrices, whose ranks over A give the table;
-  * unreduced homology: set t = 0 and tensor the final complex with
-    A[x]/(x^2), splitting each generator into quantum degrees q+1 and
-    q-1, and take ranks again;
-  * the deformation module: the final complex is a finite free
-    presentation over A[X]; Smith reduction reads off the free rank and
-    the X-torsion orders with their gradings.
+Over a field A the final complex is a graded complex of free A[X]
+modules, and one Smith reduction over A[X] splits it into free summands
+and torsion summands A[X]/(X^k) with their gradings.  Every table is
+read from that one splitting:
+
+  * the deformation module: the free rank and the X-torsion orders;
+  * reduced Khovanov homology: the homology of the quotient A[X]/(X),
+    which sets X = 0;
+  * unreduced homology: the homology of the quotient A[X]/(X^2), which
+    sets t = X^2 = 0 and splits each generator into quantum degrees q+1
+    (label 1) and q-1 (label x).
 
 Links are scanned closed (no cut); only unreduced ranks apply there,
-read off at t = 0.
+read off at t = 0 from the quotient A[X]/(X) of the closed complex.
 
 :class:`KnotScan` is the scan, and the one place where scan options
 enter: it fixes the crossing order, the cut edge, the generator budget
@@ -627,9 +630,7 @@ def khovanov_ranks(d: Diagram | KnotScan, field: CoefficientField = QQ,
         return red if reduced else unred
     if reduced:
         raise ValueError("reduced Khovanov homology requires a knot diagram")
-    scan = d.final_complex()
-    table = _homology(_gradings(scan), [(s, t, c) for s, t, c, power
-                                        in _entries(scan) if power == 0], field)
+    table = _quotient(_module(d.final_complex(), field), 1)
     for _ in range(d.diagram.extra_components):
         table = _with_circle(table)
     return BigradedRanks(table, False, field)
@@ -642,7 +643,9 @@ def khovanov_pair(d: Diagram | KnotScan,
         d = KnotScan(d)
     if not d.diagram.is_knot:
         raise ValueError("khovanov_pair requires a knot diagram")
-    return _knot_tables(d.final_complex(), field)
+    module = _module(d.final_complex(), field)
+    return (BigradedRanks(_quotient(module, 1), True, field),
+            BigradedRanks(_quotient(module, 2), False, field))
 
 
 # ---------------------------------------------------------------------------
@@ -659,28 +662,45 @@ def _entries(scan: KnotScan):
                 yield s, t, c, 2 * (key >> MASK_BITS) + (key & _MASK)
 
 
-def _gradings(scan: KnotScan) -> dict:
-    return {g: (h, q) for g, (_, h, q) in scan.gens.items()}
+def _module(scan: KnotScan, field: CoefficientField) -> tuple:
+    """The final complex over A[X] (A = ``field``) split by one graded Smith
+    reduction: (free, torsion), ``free`` counting the free summands by
+    (h, q) and ``torsion`` holding one (k, h, q) per summand A[X]/(X^k),
+    k >= 1, at its pivot's target.  An entry c * X^p maps (h, q) to
+    (h + 1, q + 2p), so the pivot's source is at (h - 1, q - 2k)."""
+    gens = scan.gens
+    entries = []
+    for s, t, c, power in _entries(scan):
+        _, h, q = gens[s]
+        assert gens[t][1:] == (h + 1, q + 2 * power), \
+            "differential leaves its bigrading"
+        entries.append((t, s, c, power))
+    free = Counter((h, q) for _, h, q in gens.values())
+    torsion = []
+    for k, t in _monomial_smith(entries, field.char):
+        _, h, q = gens[t]
+        free[h, q] -= 1
+        free[h - 1, q - 2 * k] -= 1
+        if k:
+            torsion.append((k, h, q))
+    return free, torsion
 
 
-def _homology(gradings: dict, entries, field: CoefficientField) -> dict:
-    """Bigraded homology over ``field`` of a complex with integer entries.
-
-    ``gradings`` maps each generator to its (h, q); ``entries`` holds
-    (source, target, c) with the target one step up in h at the same q.
-    The differential's rank on each (h, q) block, its number of Smith
-    pivots, is taken off the generator counts at both ends."""
-    table = Counter(gradings.values())
-    blocks: dict = {}
-    for s, t, c in entries:
-        (h, q), (ht, qt) = gradings[s], gradings[t]
-        assert ht == h + 1 and qt == q, "differential leaves its bigrading"
-        blocks.setdefault((h, q), []).append((t, s, c, 0))
-    for (h, q), block in blocks.items():
-        r = len(_monomial_smith(block, field.char))
-        table[(h, q)] -= r
-        table[(h + 1, q)] -= r
-    return {k: v for k, v in table.items() if v}
+def _quotient(module: tuple, n: int) -> dict:
+    """Bigraded ranks of the homology of C (x) A[X]/(X^n), C split as
+    ``module``, with X^j of a generator at (h, q) at q + n - 1 - 2j.  A free
+    summand gives n ranks; A[X]/(X^k) gives the X^j with j < min(k, n) at
+    its target and with j >= n - min(k, n) at its source."""
+    free, torsion = module
+    table = Counter()
+    for (h, q), r in free.items():
+        for j in range(n):
+            table[h, q + n - 1 - 2 * j] += r
+    for k, h, q in torsion:
+        for j in range(min(k, n)):
+            table[h, q + n - 1 - 2 * j] += 1
+            table[h - 1, q - 2 * k - n + 1 + 2 * j] += 1
+    return {key: r for key, r in table.items() if r}
 
 
 def _with_circle(table: dict) -> dict:
@@ -690,30 +710,6 @@ def _with_circle(table: dict) -> dict:
         out[(h, q + 1)] += r
         out[(h, q - 1)] += r
     return dict(out)
-
-
-def _knot_tables(scan: KnotScan, field: CoefficientField):
-    """(reduced, unreduced) tables over ``field`` of a knot scan.
-
-    Reduced: set X = 0, keeping the integer entries of power 0.
-    Unreduced: tensor the one-arc complex with A[x]/(x^2).  Generator g
-    splits into labels 1 (q+1) and x (q-1); an entry c maps each label to
-    the same label, an entry c*x maps label 1 to label x, and t = 0 kills
-    the rest."""
-    gradings = _gradings(scan)
-    split = {}
-    for g, (h, q) in gradings.items():
-        split[(g, 1)] = (h, q + 1)
-        split[(g, "x")] = (h, q - 1)
-    flat, split_entries = [], []
-    for s, t, c, power in _entries(scan):
-        if power == 0:
-            flat.append((s, t, c))
-            split_entries += [((s, 1), (t, 1), c), ((s, "x"), (t, "x"), c)]
-        elif power == 1:
-            split_entries.append(((s, 1), (t, "x"), c))
-    return (BigradedRanks(_homology(gradings, flat, field), True, field),
-            BigradedRanks(_homology(split, split_entries, field), False, field))
 
 
 # ---------------------------------------------------------------------------
@@ -733,23 +729,14 @@ def deformed_module(d: Diagram | KnotScan, field: CoefficientField) -> DeformedM
         d = KnotScan(d)
     if not d.diagram.is_knot:
         raise ValueError("deformed module requires a knot diagram")
-    scan = d.final_complex()
-    # the differential maps degree h to h + 1 only, so one reduction of the
-    # whole matrix pivots within each block as separate ones would, and the
-    # free rank is what no pivot row or column covers
-    pivots = _monomial_smith([(t, s, c, power) for s, t, c, power
-                              in _entries(scan)], field.char)
-    free = len(scan.gens) - 2 * len(pivots)
-    if free != 1:
+    free, torsion = _module(d.final_complex(), field)
+    rank = sum(free.values())
+    if rank != 1:
         raise RuntimeError(
-            f"deformed free rank {free} != 1 for a knot: grading "
+            f"deformed free rank {rank} != 1 for a knot: grading "
             f"convention violation, please report")
-    torsion = []
-    for order, t in pivots:
-        if order >= 1:
-            _, h, q = scan.gens[t]
-            torsion.append((order, q // 2 - h))
-    return DeformedModule(free, tuple(sorted(torsion)), field)
+    orders = sorted((k, q // 2 - h) for k, h, q in torsion)
+    return DeformedModule(rank, tuple(orders), field)
 
 
 def _monomial_smith(entries, p) -> list:
@@ -769,9 +756,18 @@ def _monomial_smith(entries, p) -> list:
             mat[(t, s)] = (c, power)
             rows.setdefault(t, set()).add(s)
             cols.setdefault(s, set()).add(t)
+    # pivots come least (power, target, source) first; a position's power
+    # is fixed by the gradings, so a popped position still in ``mat`` is
+    # the least one left, and each entry made is pushed when it appears
+    heap = [(power, t, s) for (t, s), (_, power) in mat.items()]
+    heapq.heapify(heap)
     pivots = []
-    while mat:
-        (t0, s0), (c0, p0) = min(mat.items(), key=lambda kv: (kv[1][1], kv[0]))
+    while heap:
+        p0, t0, s0 = heapq.heappop(heap)
+        pivot = mat.get((t0, s0))
+        if pivot is None:
+            continue
+        c0 = pivot[0]
         pivots.append((p0, t0))
         inv0 = pow(c0, -1, p) if p else Fraction(1, c0)
         col_others = [(t, mat[(t, s0)]) for t in cols[s0] if t != t0]
@@ -795,6 +791,8 @@ def _monomial_smith(entries, p) -> list:
                 if p:
                     cnew %= p
                 if cnew:
+                    if cur is None:
+                        heapq.heappush(heap, (pnew, t, s))
                     mat[(t, s)] = (cnew, pnew)
                     rows.setdefault(t, set()).add(s)
                     cols.setdefault(s, set()).add(t)

@@ -103,16 +103,19 @@ def test_scan_malformed_line_is_one_error_record(tmp_path):
     assert records[3]["summary"]["aborted"] == 1
 
 
-@pytest.mark.parametrize("bad", ("[[1,4,2,5],[3,6,4,1],[5,2,6,\u00b2]]",
-                                 "[[1,4,2,5],[3,6,4,1],[5,2,6," + "3" * 5000 + "]]"),
-                         ids=("superscript-digit", "label-past-int-limit"))
+@pytest.mark.parametrize("bad", ("[[1,4,2,5],[3,6,4,1],[5,2,6,\u00b2]]".encode(),
+                                 b"[[1,4,2,5],[3,6,4,1],[5,2,6," + b"3" * 5000 + b"]]",
+                                 b"[[1,\xff]]"),
+                         ids=("superscript-digit", "label-past-int-limit",
+                              "not-utf-8"))
 def test_unconvertible_digits_are_one_error_record(tmp_path, capsys, bad):
-    # a character that str.isdigit() accepts but int() does not, or a label
-    # longer than int() converts, is an error for its own line only
+    # a character that str.isdigit() accepts but int() does not, a label
+    # longer than int() converts, or a byte that is not UTF-8, is an error
+    # for its own line only
     c = load_corpus()
     path = tmp_path / "three.txt"
-    path.write_text(f"3_1\t{c['3_1'].pd_text}\nbad\t{bad}\n"
-                    f"6_1\t{c['6_1'].pd_text}\n", encoding="utf-8")
+    path.write_bytes(f"3_1\t{c['3_1'].pd_text}\n".encode() + b"bad\t" + bad
+                     + f"\n6_1\t{c['6_1'].pd_text}\n".encode())
     out = tmp_path / "r.jsonl"
     assert main(["scan", "--input", str(path), "--fields", "f2",
                  "--out", str(out)]) == 2
@@ -146,3 +149,20 @@ def test_malformed_line_keeps_the_others(tmp_path, capsys, command):
     dashes = 4 if command[0] == "kh" else 3
     assert captured.out.splitlines() == [first, "bad" + "\t-" * dashes, last]
     assert captured.err.startswith("bad\terror: ")
+
+
+@pytest.mark.parametrize("command", (["kh", "{file}", "--field", "f4"],
+                                     ["scan", "--input", "{file}", "--fields", "f4,q",
+                                      "--out", "{out}"]),
+                         ids=lambda c: c[0])
+def test_bad_field_spec_is_a_usage_error(small_file, tmp_path, capsys, command):
+    # a field spec that names no field stops the command before any knot
+    # is read, with a usage message and exit code 2
+    out = tmp_path / "r.jsonl"
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(file=small_file, out=out) for a in command])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "usage:" in captured.err
+    assert "4 is not prime" in captured.err
+    assert not out.exists()

@@ -3,10 +3,12 @@ import importlib
 import pkgutil
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 import knotrank
+import split_complex_oracle
 from compose_oracle import compose_template_glued
 from cube_oracle import (CubeComplex, deformed_factors, kh_table,
                          smith_over_poly_ring)
@@ -14,7 +16,8 @@ from knotrank._tangle import scan_order
 from knotrank.algebra import F2, F3, QQ, CoefficientField
 from knotrank.cobordism import MASK_BITS, cycles_of
 from knotrank.corpus import RIBBON_NAMES, load_corpus
-from knotrank.diagram import connected_sum, disjoint_union, mirror, parse_pd
+from knotrank.diagram import (connected_sum, disjoint_union, mirror,
+                              parse_diagram_file, parse_pd)
 from knotrank.jones import jones
 from knotrank.khovanov import (DeformedModule, KnotScan, ResourceLimit,
                                _entries, _monomial_smith, deformed_module,
@@ -312,6 +315,56 @@ def test_monomial_smith_against_oracle():
                 sorted(inv.torsion_degrees())
 
 
+POOL_FILE = Path(__file__).resolve().parents[1] / "perfbench" / "symunion_pool.pd"
+
+
+@pytest.mark.parametrize("source", ("corpus", "pool"))
+def test_module_reading_against_split_complex(corpus, source):
+    # every table read from the one graded Smith form over A[X] is the
+    # block-wise reading of the X = 0 complex and of the split complex
+    if source == "corpus":
+        knots = [d for d in corpus.values() if d.is_knot]
+    else:
+        knots = parse_diagram_file(POOL_FILE.read_text())[:60]
+    for d in knots:
+        knot_scan = KnotScan(d)
+        for field in FIELDS:
+            red, unred = khovanov_pair(knot_scan, field)
+            assert (red.ranks, unred.ranks) == \
+                split_complex_oracle.knot_tables(knot_scan, field), (d.name, field)
+
+
+def test_link_reading_against_split_complex(corpus):
+    t24 = parse_pd("[[6,1,7,2],[8,3,5,4],[2,5,3,6],[4,7,1,8]]")
+    for d in (corpus["hopf"], corpus["unlink2"], t24,
+              disjoint_union(corpus["3_1"], corpus["unknot"])):
+        link_scan = KnotScan(d)
+        for field in FIELDS:
+            assert khovanov_ranks(link_scan, field, reduced=False).ranks == \
+                split_complex_oracle.link_table(link_scan, field), (d.name, field)
+
+
+def test_monomial_smith_pivots_match_min_scan(corpus):
+    # the heap takes the pivots in the order of a scan for the least
+    # (power, target, source): on the matrices of
+    # test_monomial_smith_against_oracle and on every corpus final complex
+    rng = random.Random(7)
+    matrices = []
+    for _ in range(60):
+        a = [rng.randrange(4) for _ in range(rng.randrange(1, 5))]
+        b = [rng.randrange(4) for _ in range(rng.randrange(1, 5))]
+        matrices.append([(t, s, rng.choice((1, -2, 3, 6, 5)), a[t] - b[s])
+                         for t in range(len(a)) for s in range(len(b))
+                         if a[t] >= b[s] and rng.random() < 0.6])
+    for d in corpus.values():
+        matrices.append([(t, s, c, power) for s, t, c, power
+                         in _entries(KnotScan(d).final_complex())])
+    for entries in matrices:
+        for p in (2, 3, 0):
+            assert _monomial_smith(entries, p) == \
+                split_complex_oracle.monomial_smith(entries, p)
+
+
 def test_resource_limit(corpus):
     with pytest.raises(ResourceLimit):
         khovanov_ranks(KnotScan(corpus["18nh_00159590"], max_generators=50), F2)
@@ -546,8 +599,7 @@ def test_scans_keep_no_tables(corpus):
     # number of knots scanned.  cycles_of is cleared when a scan starts;
     # the caches keyed on small ints (circle, genus and dot counts) are
     # bounded whatever is scanned.
-    bounded = {("cobordism", "_delta_tensor"), ("cobordism", "open_expansion"),
-               ("khovanov", "_capdots")}
+    bounded = {("cobordism", "open_expansion"), ("khovanov", "_capdots")}
     probe = corpus["6_2"]
     KnotScan(probe).final_complex()
     before = module_caches()
