@@ -11,7 +11,7 @@ to the Conway form (symmetric, value 1 at t = 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._unionfind import UnionFind
 from .algebra import LaurentPolynomial
@@ -113,8 +113,7 @@ def _conway_normalize(p: LaurentPolynomial) -> LaurentPolynomial:
     raise ValueError(f"normalized polynomial evaluates to {at_one} at t=1")
 
 
-@dataclass(frozen=True)
-class ConwayPotential:
+class ConwayPotential(NamedTuple):
     """Conway potential of a knot: 1 + a2 z^2 + a4 z^4 + ..."""
 
     coeffs: tuple  # (a0, a2, a4, ...)

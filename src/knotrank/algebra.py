@@ -9,7 +9,6 @@ Floating point is never used.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
@@ -18,18 +17,24 @@ from typing import Mapping
 # coefficient fields
 
 
-@dataclass(frozen=True)
 class CoefficientField:
     """The rationals (``char == 0``) or a prime field F_p."""
 
-    char: int
+    __slots__ = ("char",)
 
-    def __post_init__(self):
-        if self.char < 0:
+    def __init__(self, char: int):
+        if char < 0:
             raise ValueError("characteristic must be 0 or a prime")
-        if self.char:
-            if self.char < 2 or any(self.char % d == 0 for d in range(2, int(self.char ** 0.5) + 1)):
-                raise ValueError(f"{self.char} is not prime")
+        if char:
+            if char < 2 or any(char % d == 0 for d in range(2, int(char ** 0.5) + 1)):
+                raise ValueError(f"{char} is not prime")
+        self.char = char
+
+    def __eq__(self, other):
+        return other.__class__ is CoefficientField and self.char == other.char
+
+    def __hash__(self):
+        return hash((self.char,))
 
     @property
     def name(self) -> str:

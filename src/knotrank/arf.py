@@ -15,7 +15,7 @@ the result rather than raised, so batch scans can flag the diagram.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import (QC_ARF_ONE, QC_ONE, LaurentPolynomial, QuotientClass,
                       zeta8_to_iroot2)
@@ -26,8 +26,7 @@ from .jones import JonesPolynomial, jones
 ROUTE_NAMES = ("levine", "alexander_mod", "jones_mod", "jones_at_i", "conway_a2")
 
 
-@dataclass(frozen=True)
-class ArfResult:
+class ArfResult(NamedTuple):
     value: int
     routes: dict
     consistent: bool

@@ -24,7 +24,7 @@ from .arf import arf
 from .diagram import InvalidDiagram, format_diagram_file, parse_diagram_lines
 from .jones import det_from_jones, jones
 from .khovanov import KnotScan, deformed_module, khovanov_ranks
-from .scanner import render_csv, render_jsonl, scan
+from .scanner import KNOT_ERRORS, render_csv, render_jsonl, scan
 from .symunion import random_symmetric_union
 
 
@@ -38,8 +38,8 @@ def _field(token: str):
 
 def _rows(path: str, row, placeholder: str) -> int:
     """Print ``row(d)`` for each diagram of the file at ``path``.  A line that does
-    not parse (a byte that is not UTF-8 reads as U+FFFD), or a diagram that
-    ``row`` rejects with a ValueError, prints its error to stderr and
+    not parse (a byte that is not UTF-8 reads as U+FFFD), or a diagram on which
+    ``row`` raises one of ``KNOT_ERRORS``, prints its error to stderr and
     ``placeholder`` in its place, and the command goes on and exits 2."""
     status = 0
     for d in parse_diagram_lines(Path(path).read_text("utf-8", "replace")):
@@ -47,7 +47,7 @@ def _rows(path: str, row, placeholder: str) -> int:
             if isinstance(d, InvalidDiagram):
                 raise d
             print(row(d))
-        except ValueError as exc:
+        except KNOT_ERRORS as exc:
             print(f"{d.name}\terror: {exc}", file=sys.stderr)
             print(f"{d.name}\t{placeholder}")
             status = 2

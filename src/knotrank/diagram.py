@@ -19,14 +19,14 @@ Crossing-free unknot components cannot be expressed by 4-tuples, so a
 diagram carries an explicit count of them; the text form is the letter
 ``U`` repeated once per such component.
 
-Diagrams are immutable after validation.  All operations return new
-diagrams and never mutate their inputs.
+Diagrams are immutable: ``Diagram.__init__`` validates and sets the fields,
+and assigning an attribute afterwards raises AttributeError.  All
+operations return new diagrams and never mutate their inputs.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 
 from ._unionfind import UnionFind
@@ -43,19 +43,33 @@ class InvalidDiagram(ValueError):
 Tuple4 = tuple[int, int, int, int]
 
 
-@dataclass(frozen=True)
 class Diagram:
     crossings: tuple[Tuple4, ...]
-    extra_components: int = 0  # crossing-free unknot components
-    name: str | None = None
+    extra_components: int   # crossing-free unknot components
+    name: str | None
 
-    def __post_init__(self):
-        object.__setattr__(self, "crossings", tuple(tuple(int(x) for x in t) for t in self.crossings))
-        if self.extra_components < 0:
+    def __init__(self, crossings, extra_components: int = 0, name: str | None = None):
+        crossings = tuple(tuple(int(x) for x in t) for t in crossings)
+        if extra_components < 0:
             raise InvalidDiagram("negative component count")
-        if not self.crossings and self.extra_components == 0:
+        if not crossings and extra_components == 0:
             raise InvalidDiagram("empty diagram: need at least one component")
+        object.__setattr__(self, "crossings", crossings)
+        object.__setattr__(self, "extra_components", extra_components)
+        object.__setattr__(self, "name", name)
         self._trace  # validate eagerly
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: a Diagram is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not Diagram:
+            return NotImplemented
+        return (self.crossings, self.extra_components, self.name) == \
+            (other.crossings, other.extra_components, other.name)
+
+    def __hash__(self):
+        return hash((self.crossings, self.extra_components, self.name))
 
     # -- structure ----------------------------------------------------------
 

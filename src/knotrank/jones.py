@@ -12,7 +12,7 @@ exponents: knots use even q-powers only, two-component links odd ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._tangle import ARCS_0, ARCS_1, CrossingStep, merge_matching, scan_order
 from .algebra import LaurentPolynomial
@@ -22,8 +22,7 @@ from .diagram import Diagram
 _DELTA_A = LaurentPolynomial({2: -1, -2: -1})
 
 
-@dataclass(frozen=True)
-class JonesPolynomial:
+class JonesPolynomial(NamedTuple):
     """Jones polynomial in q = t^(1/2), normalized so V(unknot) = 1."""
 
     poly: LaurentPolynomial

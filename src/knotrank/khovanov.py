@@ -73,8 +73,8 @@ read off at t = 0 from the quotient A[X]/(X) of the closed complex.
 :class:`KnotScan` is the scan, and the one place where scan options
 enter: it fixes the crossing order, the cut edge, the generator budget
 and the deadline, runs once when first read, and holds the final
-complex.  The readers take a diagram or a ``KnotScan`` and no options of
-their own.
+complex and each field's splitting.  The readers take a diagram or a
+``KnotScan`` and no options of their own.
 """
 
 from __future__ import annotations
@@ -82,9 +82,9 @@ from __future__ import annotations
 import heapq
 import time
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from typing import NamedTuple
 
 from ._tangle import ARCS_0, ARCS_1, CrossingStep, merge_matching, scan_order
 from .algebra import QQ, CoefficientField, LaurentPolynomial
@@ -104,8 +104,7 @@ class ResourceLimit(RuntimeError):
 # result containers
 
 
-@dataclass(frozen=True)
-class BigradedRanks:
+class BigradedRanks(NamedTuple):
     """Ranks by (homological, quantum) bigrading."""
 
     ranks: dict
@@ -140,8 +139,7 @@ class BigradedRanks:
         return {f"{h},{q}": self.ranks[(h, q)] for (h, q) in sorted(self.ranks)}
 
 
-@dataclass(frozen=True)
-class DeformedModule:
+class DeformedModule(NamedTuple):
     """H over A[X]: free rank plus X-torsion summands (order, delta)."""
 
     free_rank: int
@@ -227,6 +225,7 @@ class KnotScan:
         self.fused_entries = 0
         self.pivots = 0
         self.composites = 0
+        self.modules: dict = {}     # field char -> _module of the final complex
         cycles_of.cache_clear()   # keyed on matchings; keep it per-diagram
         open_pts: set = set()
         for ci in self.order:
@@ -668,6 +667,8 @@ def _module(scan: KnotScan, field: CoefficientField) -> tuple:
     (h, q) and ``torsion`` holding one (k, h, q) per summand A[X]/(X^k),
     k >= 1, at its pivot's target.  An entry c * X^p maps (h, q) to
     (h + 1, q + 2p), so the pivot's source is at (h - 1, q - 2k)."""
+    if field.char in scan.modules:
+        return scan.modules[field.char]
     gens = scan.gens
     entries = []
     for s, t, c, power in _entries(scan):
@@ -683,6 +684,7 @@ def _module(scan: KnotScan, field: CoefficientField) -> tuple:
         free[h - 1, q - 2 * k] -= 1
         if k:
             torsion.append((k, h, q))
+    scan.modules[field.char] = free, torsion
     return free, torsion
 
 

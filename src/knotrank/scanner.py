@@ -40,12 +40,10 @@ unless explicitly requested.
 
 from __future__ import annotations
 
-import csv
 import functools
 import io
 import json
 import time
-from dataclasses import dataclass, field
 
 from .algebra import parse_field
 from .alexander import alexander_polynomial
@@ -58,22 +56,26 @@ DEFAULT_FIELDS = ("f2", "f3", "f211", "q")
 FLAG_NAMES = ("c12_mod4", "folk_mod8", "c110_unreduced", "arfq",
               "f2_doubling", "levine")
 
+# the failures that make a knot's error record: RuntimeError covers
+# ResourceLimit and the self-checks, AssertionError the engine's invariants
+KNOT_ERRORS = (RuntimeError, AssertionError, ValueError, ArithmeticError)
 
-@dataclass
+
 class KnotReport:
-    name: str
-    crossings: int = 0
-    det: int | None = None
-    signed_det: int | None = None
-    arf: int | None = None
-    arf_routes: dict = field(default_factory=dict)
-    arf_consistent: bool | None = None
-    reduced: dict = field(default_factory=dict)      # field name -> total
-    unreduced: dict = field(default_factory=dict)
-    deformed: dict = field(default_factory=dict)     # field name -> dict
-    flags: dict = field(default_factory=dict)
-    error: str | None = None
-    time_ms: int = 0
+    def __init__(self, name: str, crossings: int = 0, error: str | None = None):
+        self.name = name
+        self.crossings = crossings
+        self.det: int | None = None
+        self.signed_det: int | None = None
+        self.arf: int | None = None
+        self.arf_routes: dict = {}
+        self.arf_consistent: bool | None = None
+        self.reduced: dict = {}       # field name -> total
+        self.unreduced: dict = {}
+        self.deformed: dict = {}      # field name -> dict
+        self.flags: dict = {}
+        self.error = error
+        self.time_ms = 0
 
     def record(self, include_timing: bool = False) -> dict:
         out = {
@@ -152,10 +154,7 @@ def compute_report(d: Diagram | InvalidDiagram, fields, with_deformed: bool = Fa
             report.reduced[fld.name] = red.total
             report.unreduced[fld.name] = unred.total
         report.flags = _flags(report)
-    except (RuntimeError, AssertionError, ValueError, ArithmeticError) as exc:
-        # RuntimeError covers ResourceLimit, the deformed module's
-        # free-rank check and the determinant and Jones checks;
-        # AssertionError covers the engine's invariants
+    except KNOT_ERRORS as exc:
         report.error = f"{type(exc).__name__}: {exc}"
     report.time_ms = int(1000 * (time.monotonic() - t0))
     return report
@@ -239,6 +238,7 @@ def parse_report_jsonl(text: str):
 
 
 def render_csv(reports, include_timing: bool = False) -> str:
+    import csv
     keys: list = []
     rows = []
     for r in reports:

@@ -2,9 +2,11 @@ import json
 
 import pytest
 
+from knotrank import cli
 from knotrank.cli import main
 from knotrank.corpus import load_corpus
 from knotrank.diagram import format_diagram_file
+from knotrank.khovanov import ResourceLimit
 
 
 @pytest.fixture(scope="module")
@@ -149,6 +151,40 @@ def test_malformed_line_keeps_the_others(tmp_path, capsys, command):
     dashes = 4 if command[0] == "kh" else 3
     assert captured.out.splitlines() == [first, "bad" + "\t-" * dashes, last]
     assert captured.err.startswith("bad\terror: ")
+
+
+def test_engine_error_keeps_the_others(tmp_path, capsys):
+    # the virtual trefoil passes validation, and the scan's component check
+    # raises an AssertionError on it: one error row, and 4_1 still reports
+    c = load_corpus()
+    path = tmp_path / "virtual.txt"
+    path.write_text(f"3_1\t{c['3_1'].pd_text}\nvt\t[[1,3,2,4],[2,1,3,4]]\n"
+                    f"4_1\t{c['4_1'].pd_text}\n")
+    assert main(["kh", str(path)]) == 2
+    captured = capsys.readouterr()
+    rows = captured.out.splitlines()
+    assert [row.split("\t")[0] for row in rows] == ["3_1", "vt", "4_1"]
+    assert rows[1] == "vt\t-\t-\t-\t-"
+    assert rows[2].split("\t")[1] == "5"
+    assert captured.err == "vt\terror: bad component: chi=0 boundary=1\n"
+
+
+def test_kh_resource_limit_keeps_the_others(small_file, capsys, monkeypatch):
+    # a scan over its budget or deadline prints one error row, not a traceback
+    ranks = cli.khovanov_ranks
+
+    def limited(knot_scan, *args, **kwargs):
+        if knot_scan.diagram.name == "3_1":
+            raise ResourceLimit("scan deadline exceeded")
+        return ranks(knot_scan, *args, **kwargs)
+
+    assert main(["kh", small_file, "--unreduced"]) == 0
+    plain = capsys.readouterr().out.splitlines()
+    monkeypatch.setattr(cli, "khovanov_ranks", limited)
+    assert main(["kh", small_file, "--unreduced"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [plain[0], "3_1\t-\t-\t-\t-", *plain[2:]]
+    assert captured.err == "3_1\terror: scan deadline exceeded\n"
 
 
 @pytest.mark.parametrize("command", (["kh", "{file}", "--field", "f4"],

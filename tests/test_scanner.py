@@ -205,6 +205,22 @@ def test_each_invariant_computed_once(corpus, monkeypatch):
                          "jones": 1}
 
 
+def test_deformed_report_reduces_once_per_field(corpus, monkeypatch):
+    # khovanov_pair and deformed_module read one Smith split per field
+    calls = Counter()
+    smith = khovanov._monomial_smith
+
+    def counted(entries, p):
+        calls[p] += 1
+        return smith(entries, p)
+
+    monkeypatch.setattr(khovanov, "_monomial_smith", counted)
+    rep = compute_report(corpus["18nh_00159590"], scanner.DEFAULT_FIELDS,
+                         with_deformed=True)
+    assert rep.error is None and sorted(rep.deformed) == ["f211", "f3", "q"]
+    assert calls == {2: 1, 3: 1, 211: 1, 0: 1}
+
+
 def test_deformed_fields(corpus):
     rep = compute_report(corpus["6_1"], ("f3",), with_deformed=True)
     assert rep.deformed["f3"]["free"] == 1
