@@ -14,7 +14,7 @@ from .arf import (ArfResult, arf, arf_from_alexander, arf_from_jones,
                   arf_from_jones_at_i, arf_from_levine)
 from .corpus import load_corpus
 from .diagram import (Diagram, InvalidDiagram, connected_sum, crossing_change,
-                      disjoint_union, is_planar, mirror, oriented_resolution,
+                      disjoint_union, mirror, oriented_resolution,
                       parse_diagram_file, parse_diagram_lines, parse_pd)
 from .jones import JonesPolynomial, det_from_jones, jones, kauffman_bracket
 from .khovanov import (BigradedRanks, DeformedModule, KnotScan, ResourceLimit,

@@ -25,7 +25,8 @@ def scan_order(d: Diagram) -> list[int]:
     most slots on open edges (ties: smallest index), or, when none touches
     an open edge, the first unscanned crossing.  Every starting crossing
     is tried; the order with the smallest peak boundary (ties: smallest
-    total) wins.
+    total, then the earlier start) wins.  The running (peak, total) only
+    grows, so a start stops as soon as it reaches the best so far.
     """
     n = len(d.crossings)
     if n == 0:
@@ -40,7 +41,7 @@ def scan_order(d: Diagram) -> list[int]:
              for e in set(tup) if tup.count(e) == 1]
             for ci, tup in enumerate(d.crossings)]
 
-    def simulate(start: int):
+    def simulate(start: int, bound):
         open_edges: set[int] = set()
         done = [False] * n
         # open_slots[cj]: slots of cj on open edges; ranked[k]: the
@@ -70,6 +71,8 @@ def scan_order(d: Diagram) -> list[int]:
                             ranked[k].add(cj)
             peak = max(peak, len(open_edges))
             total += len(open_edges)
+            if bound is not None and (peak, total) >= bound:
+                return None     # (peak, total) only grows: no better than bound
             # next: most slots on open edges, then smallest index
             for r in (ranked[4], ranked[3], ranked[2], ranked[1]):
                 if r:
@@ -83,9 +86,9 @@ def scan_order(d: Diagram) -> list[int]:
 
     best_cost, best_order = None, None
     for start in range(n):
-        cost, order = simulate(start)
-        if best_cost is None or cost < best_cost:
-            best_cost, best_order = cost, order
+        run = simulate(start, best_cost)
+        if run is not None:
+            best_cost, best_order = run
     return best_order
 
 

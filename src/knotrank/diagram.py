@@ -15,6 +15,12 @@ apart, it is the wrap and runs from the larger.  Under-strands claim their
 edges first, then over-strands in crossing order, so a two-edge component
 that only passes over runs upward at its smallest crossing index.
 
+Validation also decides planarity.  The tuples give a rotation system:
+the four slots of a crossing in counterclockwise order, joined in pairs
+by the edges.  Its faces are counted in one walk, and a code whose
+system does not embed in the plane (a virtual diagram) raises
+:class:`InvalidDiagram` naming the genus of the surface it needs.
+
 Crossing-free unknot components cannot be expressed by 4-tuples, so a
 diagram carries an explicit count of them; the text form is the letter
 ``U`` repeated once per such component.
@@ -33,7 +39,7 @@ from ._unionfind import UnionFind
 
 
 class InvalidDiagram(ValueError):
-    """The PD data does not describe a consistently oriented diagram.
+    """The PD data does not describe a consistently oriented planar diagram.
 
     :func:`parse_diagram_lines` sets ``name`` to the name on the line."""
 
@@ -146,17 +152,17 @@ class Diagram:
 
 
 def _trace_structure(crossings):
-    occ: dict[int, int] = {}
+    slots: dict[int, list] = {}     # label -> its slots, 4 * crossing + position
     for ci, tup in enumerate(crossings):
         if len(tup) != 4:
             raise InvalidDiagram(f"crossing {ci}: expected 4 edges, got {len(tup)}")
-        for e in tup:
+        for slot, e in enumerate(tup, 4 * ci):
             if e <= 0:
                 raise InvalidDiagram(f"crossing {ci}: edge labels must be positive, got {e}")
-            occ[e] = occ.get(e, 0) + 1
-    for e, n in occ.items():
-        if n != 2:
-            raise InvalidDiagram(f"edge {e} appears {n} times (expected exactly 2)")
+            slots.setdefault(e, []).append(slot)
+    for e, where in slots.items():
+        if len(where) != 2:
+            raise InvalidDiagram(f"edge {e} appears {len(where)} times (expected exactly 2)")
 
     # orient locally (see the module docstring): under-strands first, then
     # over-strands in crossing order
@@ -179,9 +185,41 @@ def _trace_structure(crossings):
             raise InvalidDiagram(
                 f"edge labels do not go up by one along the component containing edge "
                 f"{comp[0]}; each tuple must start at the incoming under-strand")
+    genus = _genus(crossings, slots, components)
+    if genus:
+        raise InvalidDiagram(
+            f"the rotation system has genus {genus}: the PD code is not planar "
+            f"(a virtual diagram)")
     succ = {e: succ[e] for comp in components for e in comp}
     signs = tuple(1 if oin == d != b else -1 for oin, (_, b, _, d) in zip(over_in, crossings))
     return components, succ, tuple(over_in), signs
+
+
+def _genus(crossings, slots: dict, components) -> int:
+    """Genus of the surface the tuples' rotation system embeds in.  Each
+    piece (link components joined at crossings) with V crossings has 2V
+    edges, so Euler's formula gives V + 2 - 2g faces; the diagram is
+    planar when the faces number crossings + 2 * pieces."""
+    # a face runs along an edge to the slot at its other end, and leaves
+    # that crossing by the next slot counterclockwise: turn[s] is that
+    # step, and each face one of its cycles
+    turn = [0] * (4 * len(crossings))
+    for s, t in slots.values():
+        turn[s] = t - 3 if t % 4 == 3 else t + 1
+        turn[t] = s - 3 if s % 4 == 3 else s + 1
+    faces = 0
+    for start in range(len(turn)):
+        if turn[start] >= 0:
+            faces += 1
+            s = start
+            while turn[s] >= 0:     # walk the face, marking its slots
+                turn[s], s = -1, turn[s]
+    pieces = len(components)    # a knot is one piece
+    if pieces > 1:
+        comp_of = {e: k for k, comp in enumerate(components) for e in comp}
+        joined = UnionFind()
+        pieces -= sum(joined.union(comp_of[a], comp_of[b]) for a, b, _, _ in crossings)
+    return (len(crossings) + 2 * pieces - faces) // 2
 
 
 def _claim(succ: dict, e: int, f: int, ci: int) -> None:
@@ -405,55 +443,3 @@ def disjoint_union(d1: Diagram, d2: Diagram) -> Diagram:
         recs.append((tuple(e + shift for e in tup), oin))
     name = f"{d1.name}+{d2.name}" if d1.name and d2.name else None
     return _assemble(recs, d1.extra_components + d2.extra_components, name)
-
-
-# ---------------------------------------------------------------------------
-# planarity diagnostic (rotation-system genus)
-
-
-def is_planar(d: Diagram) -> bool:
-    """True when the rotation system given by the tuples embeds in the plane.
-
-    Validation alone does not force planarity (PD data can describe a
-    diagram on a higher-genus surface); generators reject such samples.
-    """
-    n = len(d.crossings)
-    if n == 0:
-        return True
-    occ: dict[int, list] = {}
-    for ci, tup in enumerate(d.crossings):
-        for pos, e in enumerate(tup):
-            occ.setdefault(e, []).append(4 * ci + pos)
-    alpha = {}
-    for slots in occ.values():
-        s1, s2 = slots
-        alpha[s1] = s2
-        alpha[s2] = s1
-
-    # group crossings into connected pieces
-    pieces = UnionFind()
-    for slots in occ.values():
-        pieces.union(slots[0] // 4, slots[1] // 4)
-
-    faces_per_piece: dict[int, int] = {}
-    size_per_piece: dict[int, int] = {}
-    for ci in range(n):
-        r = pieces.find(ci)
-        size_per_piece[r] = size_per_piece.get(r, 0) + 1
-    visited = set()
-    for start in range(4 * n):
-        if start in visited:
-            continue
-        piece = pieces.find(start // 4)
-        s = start
-        while True:
-            visited.add(s)
-            t = alpha[s]
-            s = 4 * (t // 4) + (t % 4 + 1) % 4
-            if s == start:
-                break
-        faces_per_piece[piece] = faces_per_piece.get(piece, 0) + 1
-    for piece, v in size_per_piece.items():
-        if faces_per_piece.get(piece, 0) != v + 2:
-            return False
-    return True

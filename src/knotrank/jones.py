@@ -44,18 +44,13 @@ def kauffman_bracket(d: Diagram, order: list[int] | None = None) -> LaurentPolyn
     open_points: set = set()
     for ci in scan_order(d) if order is None else order:
         step = CrossingStep(d, ci, open_points)
-        merged_cache: dict = {}
         new_states: dict = {}
         for matching, poly in states.items():
             for arcs, exp in ((ARCS_0, 1), (ARCS_1, -1)):
-                key = (matching, exp)
-                if key not in merged_cache:
-                    new_matching, circles = merge_matching(matching, step, arcs)
-                    weight = LaurentPolynomial.monomial(1, exp)
-                    for _ in circles:
-                        weight = weight * _DELTA_A
-                    merged_cache[key] = (new_matching, weight)
-                new_matching, weight = merged_cache[key]
+                new_matching, circles = merge_matching(matching, step, arcs)
+                weight = LaurentPolynomial.monomial(1, exp)
+                for _ in circles:
+                    weight = weight * _DELTA_A
                 contrib = poly * weight
                 if new_matching in new_states:
                     new_states[new_matching] = new_states[new_matching] + contrib

@@ -27,12 +27,14 @@ and deformation module are read from that one complex.  Every reduced
 table is checked against the determinant and the Jones polynomial: its
 delta-graded Euler characteristic must be +-det (which also gives
 rank >= det and rank = det mod 2), and its q-graded Euler characteristic
-sum (-1)^h * rank * q^q must be the Jones polynomial.  Per-knot failures
-(resource budget, timeout, non-knot input, a failed self-check) become
-structured records with an ``error`` field and never halt the batch.  So
-does an input line that does not parse: :func:`.parse_diagram_lines`
-puts its :class:`.InvalidDiagram` in the diagram's place, and the batch
-gives it one error record at that place in the input order.
+sum (-1)^h * rank * q^q must be the Jones polynomial.  Over each field
+of characteristic != 2 the complex over A[X] must have one free summand,
+at h = 0.  Per-knot failures (resource budget, timeout, non-knot input,
+a failed self-check) become structured records with an ``error`` field
+and never halt the batch.  So does an input line that does not parse:
+:func:`.parse_diagram_lines` puts its :class:`.InvalidDiagram` in the
+diagram's place, and the batch gives it one error record at that place
+in the input order.
 Reports are byte-identical for identical inputs and options regardless
 of worker count; timings are therefore kept out of the serialized form
 unless explicitly requested.
@@ -151,6 +153,14 @@ def compute_report(d: Diagram | InvalidDiagram, fields, with_deformed: bool = Fa
                     f"reduced {fld.name} q-graded Euler characteristic "
                     f"{red.q_euler().serialize()} is not the Jones "
                     f"polynomial {res.jones.serialize()}")
+            # one free summand over A[X], at h = 0; over F2 every summand
+            # is free (3_1 has three: its final entries are all even)
+            if fld.char != 2:
+                free = knot_scan.modules[fld.char][0]
+                at = [h for (h, _), r in free.items() for _ in range(r)]
+                if at != [0]:
+                    raise RuntimeError(
+                        f"{fld.name} free summands at h = {at}, not one at h = 0")
             report.reduced[fld.name] = red.total
             report.unreduced[fld.name] = unred.total
         report.flags = _flags(report)

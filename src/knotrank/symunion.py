@@ -8,18 +8,17 @@ of twist crossings is odd; all such diagrams are ribbon.  With a single
 half-twist this is the construction used to generate ribbon-knot batches.
 
 The random diagram source samples a random Gauss sequence (a chord
-diagram with over/under and sign choices) and keeps it when the induced
-rotation system embeds in the plane; on repeated rejection the target
-crossing count shrinks, so the sampler always terminates with a valid
-one-component diagram of at most the requested size.
+diagram with over/under and sign choices) and keeps a valid knot; it
+relies on validation to reject the non-planar samples.  On repeated
+rejection the target crossing count shrinks, so the sampler always
+terminates with a valid one-component diagram of at most the requested size.
 """
 
 from __future__ import annotations
 
 import random
 
-from .diagram import (Diagram, InvalidDiagram, _assemble, _records,
-                      _reroute_heads, is_planar)
+from .diagram import Diagram, InvalidDiagram, _assemble, _records, _reroute_heads
 
 
 class SymmetricUnionError(InvalidDiagram):
@@ -164,11 +163,9 @@ def _try_random(rng: random.Random, n: int) -> Diagram | None:
             tuples.append((a, o_in, c, o_out))   # negative
     try:
         d = Diagram(tuple(tuples))
-    except InvalidDiagram:
+    except InvalidDiagram:   # among others, every non-planar sample
         return None
-    if not d.is_knot or not is_planar(d):
-        return None
-    return d
+    return d if d.is_knot else None
 
 
 def random_symmetric_union(seed: int, n: int, twists=(1,)) -> Diagram:

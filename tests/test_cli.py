@@ -6,7 +6,7 @@ from knotrank import cli
 from knotrank.cli import main
 from knotrank.corpus import load_corpus
 from knotrank.diagram import format_diagram_file
-from knotrank.khovanov import ResourceLimit
+from knotrank.khovanov import KnotScan, ResourceLimit
 
 
 @pytest.fixture(scope="module")
@@ -153,20 +153,39 @@ def test_malformed_line_keeps_the_others(tmp_path, capsys, command):
     assert captured.err.startswith("bad\terror: ")
 
 
-def test_engine_error_keeps_the_others(tmp_path, capsys):
-    # the virtual trefoil passes validation, and the scan's component check
-    # raises an AssertionError on it: one error row, and 4_1 still reports
+def test_engine_error_keeps_the_others(small_file, capsys, monkeypatch):
+    # an engine invariant that fails inside one knot's scan prints one error
+    # row, and the knots after it still report
+    run = KnotScan.run
+
+    def broken(knot_scan):
+        if knot_scan.diagram.name == "3_1":
+            raise AssertionError("bad component: chi=0 boundary=1")
+        return run(knot_scan)
+
+    assert main(["kh", small_file, "--unreduced"]) == 0
+    plain = capsys.readouterr().out.splitlines()
+    monkeypatch.setattr(KnotScan, "run", broken)
+    assert main(["kh", small_file, "--unreduced"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [plain[0], "3_1\t-\t-\t-\t-", *plain[2:]]
+    assert captured.err == "3_1\terror: bad component: chi=0 boundary=1\n"
+
+
+@pytest.mark.parametrize("command", ("jones", "alexander", "arf", "kh"))
+def test_virtual_knot_is_an_error_row(tmp_path, capsys, command):
+    # the virtual trefoil keeps the label rule but is not planar: validation
+    # rejects it, so no command prints it as a knot (it read as the unknot)
     c = load_corpus()
     path = tmp_path / "virtual.txt"
     path.write_text(f"3_1\t{c['3_1'].pd_text}\nvt\t[[1,3,2,4],[2,1,3,4]]\n"
                     f"4_1\t{c['4_1'].pd_text}\n")
-    assert main(["kh", str(path)]) == 2
+    assert main([command, str(path)]) == 2
     captured = capsys.readouterr()
     rows = captured.out.splitlines()
     assert [row.split("\t")[0] for row in rows] == ["3_1", "vt", "4_1"]
-    assert rows[1] == "vt\t-\t-\t-\t-"
-    assert rows[2].split("\t")[1] == "5"
-    assert captured.err == "vt\terror: bad component: chi=0 boundary=1\n"
+    assert rows[1] == "vt" + "\t-" * (4 if command == "kh" else 3)
+    assert captured.err.startswith("vt\terror: the rotation system has genus 1")
 
 
 def test_kh_resource_limit_keeps_the_others(small_file, capsys, monkeypatch):

@@ -2,10 +2,10 @@ import pytest
 
 from knotrank.corpus import load_corpus
 from knotrank.diagram import (Diagram, InvalidDiagram, connected_sum,
-                              crossing_change, disjoint_union, is_planar,
-                              mirror, oriented_resolution, parse_diagram_file,
-                              parse_pd)
+                              crossing_change, disjoint_union, mirror,
+                              oriented_resolution, parse_diagram_file, parse_pd)
 from knotrank.jones import jones
+from planarity_oracle import is_planar
 
 TREFOIL = "[[1,4,2,5],[3,6,4,1],[5,2,6,3]]"
 
@@ -130,7 +130,7 @@ def test_disjoint_union(corpus):
     du = disjoint_union(corpus["3_1"], corpus["4_1"])
     assert du.n_components == 2
     assert len(du.crossings) == 7
-    assert is_planar(du)
+    assert is_planar(du.crossings)
 
 
 def test_roundtrip(corpus):
@@ -158,11 +158,12 @@ def test_corpus_contents(corpus):
     assert len(corpus["symunion24"].crossings) == 24
     assert corpus["unknot"].crossings == ()
     for d in corpus.values():
-        assert is_planar(d)
+        assert is_planar(d.crossings)
 
 
 def test_planarity_detects_virtual():
-    # the virtual trefoil: a valid PD code whose rotation system has genus 1
-    d = parse_pd("[[1,3,2,4],[2,1,3,4]]")
-    assert d.is_knot
-    assert not is_planar(d)
+    # the virtual trefoil: a PD code that keeps the label rule, but whose
+    # rotation system has genus 1
+    with pytest.raises(InvalidDiagram, match="genus 1"):
+        parse_pd("[[1,3,2,4],[2,1,3,4]]")
+    assert not is_planar(((1, 3, 2, 4), (2, 1, 3, 4)))

@@ -1,5 +1,6 @@
-"""The label-rule validator against the strand-walking oracle: both accept
-and reject the same PD codes, and agree on the structure they derive."""
+"""The label-rule validator against the strand-walking oracle, composed with
+the planarity oracle: both accept and reject the same PD codes, and agree
+on the structure they derive."""
 
 import random
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 from knotrank.corpus import load_corpus
 from knotrank.diagram import InvalidDiagram, _trace_structure, parse_diagram_file
 from pd_trace_oracle import trace_structure_walked
+from planarity_oracle import is_planar
 
 POOL_FILE = Path(__file__).resolve().parents[1] / "perfbench" / "symunion_pool.pd"
 
@@ -71,6 +73,14 @@ def random_code(rng: random.Random, n: int):
     return tuple(code)
 
 
+def trace_walked_planar(crossings):
+    """The walked structure of a PD code that is also planar."""
+    out = trace_structure_walked(crossings)
+    if not is_planar(crossings):
+        raise InvalidDiagram("not planar")
+    return out
+
+
 def test_label_rule_matches_strand_walk():
     rng = random.Random(11)
     base = [d.crossings for d in load_corpus().values() if d.crossings]
@@ -78,10 +88,15 @@ def test_label_rule_matches_strand_walk():
     base += [random_code(rng, rng.randint(1, 6)) for _ in range(2000)]
     cases = base + [shuffled_code(rng, rng.randint(1, 6)) for _ in range(2000)]
     cases += [mutated(rng, crossings) for crossings in base for _ in range(3)]
-    accepted = 0
+    counts = {"accepted": 0, "label rule": 0, "not planar": 0}
     for crossings in cases:
-        want = outcome(trace_structure_walked, crossings)
+        want = outcome(trace_walked_planar, crossings)
         assert outcome(_trace_structure, crossings) == want, crossings
-        accepted += want is not None
-    # both sides of the comparison are exercised
-    assert 2000 < accepted < len(cases) - 4000
+        if want is not None:
+            counts["accepted"] += 1
+        elif outcome(trace_structure_walked, crossings) is None:
+            counts["label rule"] += 1
+        else:
+            counts["not planar"] += 1
+    # each outcome is exercised, as many times as the seeded cases give
+    assert counts == {"accepted": 1573, "label rule": 4551, "not planar": 4720}

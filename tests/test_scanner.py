@@ -173,6 +173,29 @@ def test_jones_check_error_isolated(corpus, monkeypatch):
     assert reports[1].reduced["f3"] == 9
 
 
+def test_free_summand_check_error_isolated(corpus, monkeypatch):
+    # moving the free summand from h = 0 to h = 2 keeps both Euler
+    # characteristics, so the determinant and Jones checks pass; the free
+    # part is no longer at h = 0
+    real = khovanov._module
+
+    def moved(knot_scan, field):
+        free, torsion = real(knot_scan, field)
+        if knot_scan.diagram.name == "3_1":
+            [(h, q)] = [key for key, r in free.items() if r]
+            free[h, q] -= 1
+            free[h + 2, q] += 1
+        return free, torsion
+
+    monkeypatch.setattr(khovanov, "_module", moved)
+    reports = scan([corpus["3_1"], corpus["6_1"]], fields=("f3",))
+    assert reports[0].error == \
+        "RuntimeError: f3 free summands at h = [2], not one at h = 0"
+    assert reports[0].flags == {}
+    assert reports[1].error is None
+    assert reports[1].reduced["f3"] == 9
+
+
 def test_each_invariant_computed_once(corpus, monkeypatch):
     # per knot: one crossing order, shared by the Jones contraction and the
     # one integral Khovanov scan, which every field and the deformed module
