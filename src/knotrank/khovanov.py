@@ -31,8 +31,10 @@ every label pair of the new circles), so an entry term only adds its
 t-power and scales by its coefficient.  The output masks of one
 expansion are distinct (each output cycle lies on one glued component),
 so the image of a single term cannot cancel and is built directly.
-Elimination composes in place: each term of a composite is subtracted
-from the entry it updates as soon as it is read.
+A stored entry is never mutated.  Entries repeat a few values, so fusing
+stores each distinct value once and every entry equal to it shares it;
+elimination writes each entry it updates as a new dict, a copy of the
+old one from which each term of a composite is subtracted as it is read.
 
 Within a step the scan names each distinct matching by a small int, so
 generators, templates and tables key and compare on ints; the ids are
@@ -170,8 +172,10 @@ class KnotScan:
     ``basepoint``; a link is scanned closed.  ``max_generators`` (default
     400,000) bounds the complex right after each crossing is fused in, and
     ``deadline``, a :func:`time.monotonic` time, is checked before each
-    crossing.  A scan that raised :class:`ResourceLimit` is never read: the
-    next read runs it again from the start.
+    crossing, at each old row while a crossing is fused in and at each
+    pivot of its elimination, so it stops a scan within a crossing.  A scan
+    that raised :class:`ResourceLimit` is never read: the next read runs it
+    again from the start.
 
     While the scan runs, a generator's matching is a small int: the id of
     that matching among the distinct matchings of the current step, which
@@ -229,8 +233,7 @@ class KnotScan:
         cycles_of.cache_clear()   # keyed on matchings; keep it per-diagram
         open_pts: set = set()
         for ci in self.order:
-            if self.deadline is not None and time.monotonic() > self.deadline:
-                raise ResourceLimit("scan deadline exceeded")
+            self._check_deadline()
             step = CrossingStep(self.diagram, ci, open_pts, self.cut_edge)
             self._fuse(step)
             size = len(self.gens)
@@ -246,6 +249,10 @@ class KnotScan:
         ms = self.matchings
         self.gens = {g: (ms[m], h, q) for g, (m, h, q) in self.gens.items()}
         self.finished = True
+
+    def _check_deadline(self):
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise ResourceLimit("scan deadline exceeded")
 
     def _local(self, n_pieces: int, contacts: tuple, boundary: tuple,
                nc: tuple = (0, 0)) -> Glue:
@@ -277,6 +284,7 @@ class KnotScan:
         out = self.out = {}
         inc = self.inc = {}
         step_tables: dict = {}      # template structure -> _Template
+        shared: dict = {}           # entry items -> the one stored entry
 
         @cache
         def merged(m):
@@ -363,14 +371,18 @@ class KnotScan:
         # smoothing 1 (this order of the new entries fixes the elimination
         # order).  An entry term (t-power, dots mask, coeff) adds its
         # t-power to every key of the mask's table and scales it by coeff.
-        # An image of one term is a dict display, not a comprehension:
-        # CPython 3.11 calls a comprehension as a function, once per entry.
+        # Entries repeat a few values, so each image is stored once, looked
+        # up by its items in ``shared``.  The items of one term are a tuple
+        # display, not a comprehension: CPython 3.11 calls a comprehension
+        # as a function, once per entry.
         count = 0
         pairs: dict = {}    # (m1, m2) -> fuse table per smoothing
-        for g1, row in old_out.items():
-            m1 = old_gens[g1][0]
+        for g1, (m1, _, _) in old_gens.items():
+            self._check_deadline()
             src_r = ids[g1]
-            for g2, entry in row.items():
+            # the old row goes as it is read, so the old complex is freed
+            # while the new one grows
+            for g2, entry in old_out.pop(g1).items():
                 m2 = old_gens[g2][0]
                 tabs = pairs.get((m1, m2))
                 if tabs is None:
@@ -388,11 +400,14 @@ class KnotScan:
                         for lam1, lam2, terms in tabs[r][mask]:
                             if len(terms) == 1:
                                 [(k, m)] = terms
-                                image = {k + tbits: coeff * m}
+                                items = ((k + tbits, coeff * m),)
                             elif terms:
-                                image = {k + tbits: coeff * m for k, m in terms}
+                                items = tuple([(k + tbits, coeff * m)
+                                               for k, m in terms])
                             else:
                                 continue
+                            image = (shared.get(items)
+                                     or shared.setdefault(items, dict(items)))
                             s, t = src[lam1], tgt[lam2]
                             out[s][t] = inc[t][s] = image
                             count += 1
@@ -415,7 +430,8 @@ class KnotScan:
                                     acc.pop(k3, None)
                         if acc:
                             s, t = src[lam1], tgt[lam2]
-                            out[s][t] = inc[t][s] = acc
+                            out[s][t] = inc[t][s] = shared.setdefault(
+                                tuple(acc.items()), acc)
                             count += 1
         saddles: dict = {}  # m -> fuse table from smoothing 0 to 1
         for g, (m, h, _) in old_gens.items():
@@ -427,11 +443,12 @@ class KnotScan:
             for lam1, lam2, terms in tab[0]:
                 if len(terms) == 1:
                     [(k, m)] = terms
-                    image = {k: coeff * m}
+                    items = ((k, coeff * m),)
                 elif terms:
-                    image = {k: coeff * m for k, m in terms}
+                    items = tuple([(k, coeff * m) for k, m in terms])
                 else:
                     continue
+                image = shared.get(items) or shared.setdefault(items, dict(items))
                 s, t = src[lam1], tgt[lam2]
                 out[s][t] = inc[t][s] = image
                 count += 1
@@ -471,6 +488,7 @@ class KnotScan:
             if heap and cur_cost > heap[0][0]:
                 heapq.heappush(heap, (cur_cost, s, t))
                 continue
+            self._check_deadline()
             c = entry[0]        # +-1, its own inverse
             pivots += 1
             m_mid = gens[s][0]
@@ -501,12 +519,12 @@ class KnotScan:
                         tmpl = tmpls[m_y] = _compose_template(
                             ms[m_x], ms[m_mid], ms[m_y], self._local)
                     table, m1 = tmpl
-                    cur = row_x.get(y)
-                    if cur is None:
-                        cur = row_x[y] = inc[y][x] = {}
-                    key0 = cur.get(0)
-                    # subtract c * (e_y . d_x) from the entry x -> y term by
-                    # term; its key 0 changed iff the composite has a key 0
+                    # a stored entry may be shared, so it is never changed:
+                    # the updated x -> y entry is a copy, stored under the old
+                    # key so that the row, and the pivot order, keep their order
+                    cur = row_x.get(y, {})
+                    new = cur.copy()
+                    # subtract c * (e_y . d_x) term by term
                     for k1, c1 in dx.items():
                         mask1 = k1 & _MASK
                         for k2, c2 in ey.items():
@@ -515,18 +533,22 @@ class KnotScan:
                             cc = c * c1 * c2
                             for k, m in table[mask1 | mask2 << m1][0][2]:
                                 k += tbits
-                                nv = cur.get(k, 0) - cc * m
+                                nv = new.get(k, 0) - cc * m
                                 if nv:
-                                    cur[k] = nv
+                                    new[k] = nv
                                 else:
-                                    del cur[k]
-                    if not cur:
+                                    del new[k]
+                    if new:
+                        row_x[y] = inc[y][x] = new
+                        # its key 0 changed iff the composite has a key 0
+                        key0 = new.get(0)
+                        if (key0 != cur.get(0) and key0 in _UNITS
+                                and m_x == m_y and gx[2] == gy[2]):
+                            heapq.heappush(heap, (
+                                (len(inc[y]) - 1) * (len(row_x) - 1), x, y))
+                    elif cur:
                         del row_x[y]
                         del inc[y][x]
-                    elif (cur.get(0) != key0 and cur.get(0) in _UNITS
-                          and m_x == m_y and gx[2] == gy[2]):
-                        heapq.heappush(
-                            heap, ((len(inc[y]) - 1) * (len(row_x) - 1), x, y))
         self.pivots += pivots
         self.composites += composites
         # the step's compose tables go before the next fuse, the scan's peak

@@ -196,6 +196,29 @@ def test_free_summand_check_error_isolated(corpus, monkeypatch):
     assert reports[1].reduced["f3"] == 9
 
 
+def test_thin_diagonal_check_error_isolated(corpus, monkeypatch):
+    # moving the thin reduced table of 3_1 from h to h - 2 keeps (-1)^h and
+    # the parity of delta = q/2 - h, so the determinant and Jones checks
+    # pass, and the free summand stays at h = 0; the table is still thin,
+    # but off the free summand's diagonal q - 2h = q_free = -2
+    real = scanner.khovanov_pair
+
+    def shifted(d, *args, **kwargs):
+        red, unred = real(d, *args, **kwargs)
+        if d.diagram.name == "3_1":
+            red = BigradedRanks({(h - 2, q): r for (h, q), r in red.ranks.items()},
+                                True, red.field)
+        return red, unred
+
+    monkeypatch.setattr(scanner, "khovanov_pair", shifted)
+    reports = scan([corpus["3_1"], corpus["6_1"]], fields=("f3",))
+    assert reports[0].error == \
+        "RuntimeError: reduced f3 table is thin on q - 2h = 2, not on q_free = -2"
+    assert reports[0].flags == {}
+    assert reports[1].error is None
+    assert reports[1].reduced["f3"] == 9
+
+
 def test_each_invariant_computed_once(corpus, monkeypatch):
     # per knot: one crossing order, shared by the Jones contraction and the
     # one integral Khovanov scan, which every field and the deformed module
