@@ -8,7 +8,7 @@ scanner.
 """
 
 from .algebra import (F2, F3, F211, QQ, CoefficientField, LaurentPolynomial,
-                      QuotientClass, parse_field)
+                      mod_2_t4, parse_field)
 from .alexander import ConwayPotential, alexander_polynomial, conway_potential
 from .arf import (ArfResult, arf, arf_from_alexander, arf_from_jones,
                   arf_from_jones_at_i, arf_from_levine)

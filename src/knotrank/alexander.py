@@ -139,7 +139,7 @@ def conway_potential(delta: LaurentPolynomial) -> ConwayPotential:
     rest = delta
     coeffs = [0] * len(powers)
     for k in reversed(range(len(powers))):
-        coeffs[k] = rest.coefficient(k)
+        coeffs[k] = rest.coeffs.get(k, 0)
         rest = rest - powers[k] * coeffs[k]
     if rest:
         raise ValueError("Conway potential substitution check failed")

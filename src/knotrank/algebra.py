@@ -1,14 +1,15 @@
 """Exact arithmetic underlying the invariant computations.
 
-Everything here is exact: integers, rationals (``fractions.Fraction``),
-prime fields, Laurent polynomials with integer or rational coefficients,
-the 16-element quotient ring F2[t]/(1+t^4), and the cyclotomic integers
-Z[zeta_8] used for evaluating link polynomials at fourth roots of unity.
-Floating point is never used.
+Everything here is exact: prime fields, Laurent polynomials with integer
+coefficients (only ``evaluate`` returns a ``fractions.Fraction``, at a
+non-unit), classes in the 16-element quotient ring F2[t]/(1+t^4) as plain
+4-bit ints, and the cyclotomic integers Z[zeta_8] used for evaluating link
+polynomials at fourth roots of unity.  Floating point is never used.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Mapping
 
@@ -18,16 +19,16 @@ from typing import Mapping
 
 
 class CoefficientField:
-    """The rationals (``char == 0``) or a prime field F_p."""
+    """The rationals (``char == 0``) or a prime field F_p with p < 2^31."""
 
     __slots__ = ("char",)
 
     def __init__(self, char: int):
-        if char < 0:
-            raise ValueError("characteristic must be 0 or a prime")
-        if char:
-            if char < 2 or any(char % d == 0 for d in range(2, int(char ** 0.5) + 1)):
-                raise ValueError(f"{char} is not prime")
+        if not 0 <= char < 1 << 31:
+            raise ValueError("characteristic must be 0 or a prime below 2^31")
+        if char and (char < 2 or any(char % d == 0
+                                     for d in range(2, math.isqrt(char) + 1))):
+            raise ValueError(f"{char} is not prime")
         self.char = char
 
     def __eq__(self, other):
@@ -65,7 +66,7 @@ def parse_field(token: str) -> CoefficientField:
 
 
 class LaurentPolynomial:
-    """A Laurent polynomial in one variable with exact coefficients.
+    """A Laurent polynomial in one variable with integer coefficients.
 
     The variable is implicit; knot polynomials use q (with q^2 = t) so that
     links with half-integer t-powers still have integer exponents.  Stored
@@ -74,7 +75,7 @@ class LaurentPolynomial:
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Mapping[int, int | Fraction] | None = None):
+    def __init__(self, coeffs: Mapping[int, int] | None = None):
         clean = {}
         if coeffs:
             for e, c in coeffs.items():
@@ -130,9 +131,9 @@ class LaurentPolynomial:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return LaurentPolynomial({e: c * other for e, c in self.coeffs.items()})
-        out: dict[int, int | Fraction] = {}
+        out: dict[int, int] = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
                 e = e1 + e2
@@ -154,9 +155,6 @@ class LaurentPolynomial:
         return LaurentPolynomial({-e: c for e, c in self.coeffs.items()})
 
     # -- structure queries ---------------------------------------------------
-
-    def coefficient(self, exp: int):
-        return self.coeffs.get(exp, 0)
 
     @property
     def min_exp(self) -> int:
@@ -213,7 +211,9 @@ class LaurentPolynomial:
         return tuple(acc)
 
     def exact_div(self, divisor: "LaurentPolynomial") -> "LaurentPolynomial":
-        """Exact division; raises if the divisor does not divide self."""
+        """Exact division over Z; raises ValueError at the first step
+        whose leading remainder the divisor's leading coefficient does not
+        divide, or whose quotient term falls below the lowest possible."""
         if not divisor:
             raise ZeroDivisionError("division by zero polynomial")
         if not self:
@@ -226,9 +226,9 @@ class LaurentPolynomial:
         while rem:
             e = max(rem)
             exp = e - dmax
-            if exp < lowest:
+            q, r = divmod(rem[e], dlead)
+            if r or exp < lowest:
                 raise ValueError("inexact polynomial division")
-            q = Fraction(rem[e], dlead) if rem[e] % dlead else rem[e] // dlead
             out[exp] = q
             for de, dc in divisor.coeffs.items():
                 k = de + exp
@@ -237,16 +237,7 @@ class LaurentPolynomial:
                     rem[k] = s
                 else:
                     rem.pop(k, None)
-            if rem and max(rem) >= e:
-                raise ValueError("division did not decrease degree")
-        out2 = {}
-        for e, c in out.items():
-            if isinstance(c, Fraction):
-                if c.denominator != 1:
-                    raise ValueError("inexact polynomial division")
-                c = c.numerator
-            out2[e] = c
-        return LaurentPolynomial(out2)
+        return LaurentPolynomial(out)
 
     # -- text form -----------------------------------------------------------
 
@@ -264,61 +255,17 @@ class LaurentPolynomial:
 # the ring F2[t] / (1 + t^4)
 
 
-class QuotientClass:
-    """An element of F2[t]/(1+t^4) as a 4-bit vector (1, t, t^2, t^3).
+def mod_2_t4(p: LaurentPolynomial) -> int:
+    """The class of an integer t-polynomial in F2[t]/(1+t^4) as a 4-bit int.
 
-    Since 1 + t^4 = 0 means t^4 = 1 here, reduction folds exponents mod 4
-    and coefficients mod 2.
+    Since t^4 = 1 there, bit i is the parity of the coefficients on the
+    exponents = i (mod 4); the sum of two classes is their XOR.
     """
-
-    __slots__ = ("bits",)
-
-    def __init__(self, bits: int):
-        self.bits = bits & 0xF
-
-    @classmethod
-    def from_laurent(cls, p: LaurentPolynomial) -> "QuotientClass":
-        """Reduce an integer-coefficient t-polynomial mod (2, 1+t^4)."""
-        bits = 0
-        for e, c in p.coeffs.items():
-            if isinstance(c, Fraction):
-                if c.denominator != 1:
-                    raise ValueError("non-integer coefficient")
-                c = c.numerator
-            if c % 2:
-                bits ^= 1 << (e % 4)
-        return cls(bits)
-
-    def __eq__(self, other):
-        return isinstance(other, QuotientClass) and self.bits == other.bits
-
-    def __hash__(self):
-        return hash(("QuotientClass", self.bits))
-
-    def __add__(self, other):
-        return QuotientClass(self.bits ^ other.bits)
-
-    def __mul__(self, other):
-        out = 0
-        for i in range(4):
-            if self.bits >> i & 1:
-                for j in range(4):
-                    if other.bits >> j & 1:
-                        out ^= 1 << ((i + j) % 4)
-        return QuotientClass(out)
-
-    def __repr__(self):
-        if not self.bits:
-            return "QuotientClass(0)"
-        terms = []
-        for i, sym in enumerate(("1", "t", "t^2", "t^3")):
-            if self.bits >> i & 1:
-                terms.append(sym)
-        return f"QuotientClass({'+'.join(terms)})"
-
-
-QC_ONE = QuotientClass(0b0001)
-QC_ARF_ONE = QuotientClass(0b1011)  # 1 + t + t^3, the class of t^-1 + 1 + t
+    bits = 0
+    for e, c in p.coeffs.items():
+        if c % 2:
+            bits ^= 1 << (e % 4)
+    return bits
 
 
 # ---------------------------------------------------------------------------

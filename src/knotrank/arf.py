@@ -17,8 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import NamedTuple
 
-from .algebra import (QC_ARF_ONE, QC_ONE, LaurentPolynomial, QuotientClass,
-                      zeta8_to_iroot2)
+from .algebra import LaurentPolynomial, mod_2_t4, zeta8_to_iroot2
 from .alexander import alexander_polynomial, conway_potential
 from .diagram import Diagram
 from .jones import JonesPolynomial, jones
@@ -48,22 +47,25 @@ def arf_from_levine(sdet: int) -> int:
     raise ValueError(f"signed determinant {sdet} is not 1 mod 4; not a knot determinant")
 
 
-def _class_to_arf(cls: QuotientClass, source: str) -> int:
-    if cls == QC_ONE:
-        return 0
-    if cls == QC_ARF_ONE:
-        return 1
-    raise ValueError(f"{source} reduces to {cls!r}, outside the two knot classes")
+# Arf of the two classes mod (2, 1 + t^4) of a knot polynomial, as bits of
+# (t^3, t^2, t, 1): 1, and 1 + t + t^3, the class of t^-1 + 1 + t
+_KNOT_CLASSES = {0b0001: 0, 0b1011: 1}
+
+
+def _class_to_arf(bits: int, source: str) -> int:
+    if bits not in _KNOT_CLASSES:
+        raise ValueError(f"{source} reduces to {bits:#06b}, outside the two knot classes")
+    return _KNOT_CLASSES[bits]
 
 
 def arf_from_alexander(delta: LaurentPolynomial) -> int:
     """Reduction of the Alexander polynomial mod (2, 1 + t^4)."""
-    return _class_to_arf(QuotientClass.from_laurent(delta), "Alexander polynomial")
+    return _class_to_arf(mod_2_t4(delta), "Alexander polynomial")
 
 
 def arf_from_jones(v: JonesPolynomial) -> int:
     """Reduction of a knot Jones polynomial mod (2, 1 + t^4)."""
-    return _class_to_arf(QuotientClass.from_laurent(v.in_t()), "Jones polynomial")
+    return _class_to_arf(mod_2_t4(v.poly.q_to_t()), "Jones polynomial")
 
 
 def arf_from_jones_at_i(value: tuple) -> int:

@@ -36,6 +36,15 @@ def _field(token: str):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _positive(kind):
+    """An argparse type for a positive ``kind``: any other value is a usage error."""
+    def positive(token: str):
+        if not (value := kind(token)) > 0:
+            raise argparse.ArgumentTypeError(f"{token!r} is not positive")
+        return value
+    return positive
+
+
 def _rows(path: str, row, placeholder: str) -> int:
     """Print ``row(d)`` for each diagram of the file at ``path``.  A line that does
     not parse (a byte that is not UTF-8 reads as U+FFFD), or a diagram on which
@@ -89,7 +98,7 @@ def _cmd_kh(args) -> int:
             # deformed_module first, so that a link or F2 gets its error
             dm = deformed_module(knot_scan, args.field)
         table = khovanov_ranks(knot_scan, args.field, reduced=not args.unreduced)
-        line = (f"{d.name}\t{table.total}\t{table.mod(4)}\t{table.mod(8)}"
+        line = (f"{d.name}\t{table.total}\t{table.total % 4}\t{table.total % 8}"
                 f"\t{json.dumps(table.table_json())}")
         if args.deformed:
             orders = ",".join(str(a) for a, _ in dm.torsion) or "-"
@@ -170,12 +179,12 @@ def main(argv=None) -> int:
     p.add_argument("--input", required=True)
     p.add_argument("--fields", default="f2,f3,f211,q",
                    type=lambda text: [_field(f) for f in text.split(",") if f.strip()])
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive(int), default=1)
     p.add_argument("--out")
     p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
-    p.add_argument("--timeout", type=float, default=None,
+    p.add_argument("--timeout", type=_positive(float), default=None,
                    help="per-knot deadline in seconds")
-    p.add_argument("--max-generators", type=int, default=None,
+    p.add_argument("--max-generators", type=_positive(int), default=None,
                    help="per-scan generator budget, counted after each "
                         "crossing is fused in and before elimination")
     p.add_argument("--deformed", action="store_true")

@@ -93,10 +93,12 @@ def open_expansion(genus: int, dots: int, m: int):
 class Glue(dict):
     """Merged-component structure of a glued cobordism, and its table.
 
-    Pieces are glued along contacts; every merged component records its
-    genus contribution data and where its dots and caps come from, plus
-    the output cycles it owns.  ``expand(dotbits, caps)`` produces the
-    normal form as a list of (out_mask, integer coeff, t-power).
+    Pieces are glued along contacts.  ``groups`` holds one
+    (genus, piece mask, output cycles, cap ids) per merged component, in
+    the order of each component's first piece; the genus comes from the
+    component's Euler characteristic (pieces minus contacts) and boundary
+    count.  ``expand(dotbits, caps)`` produces the normal form as a list
+    of (out_mask, integer coeff, t-power).
 
     The glue is also the table of its expansions, filled on use: a dot
     mask maps to one (lam_src, lam_tgt, ``expand(mask, caps)``) per entry
@@ -115,37 +117,26 @@ class Glue(dict):
         edges = list(contacts)
         for u, v in edges:
             joined.union(u, v)
-        group = [joined.find(i) for i in range(n_pieces)]
-        counts = {}
-        contact_count = {}
-        for r in group:
-            counts[r] = counts.get(r, 0) + 1
-        for u, v in edges:
-            r = group[u]
-            contact_count[r] = contact_count.get(r, 0) + 1
-        out_cycles = {}
-        caps = {}
-        for piece, desc in boundary:
-            r = group[piece]
-            if desc[0] == "out":
-                out_cycles.setdefault(r, []).append(desc[1])
-            else:
-                caps.setdefault(r, []).append(desc[1])
+        # per root: [2 - chi - boundary, piece mask, outs, caps], in
+        # first-piece order
+        comps = {}
+        of_piece = []
+        for i in range(n_pieces):
+            acc = comps.setdefault(joined.find(i), [2, 0, [], []])
+            acc[0] -= 1
+            acc[1] |= 1 << i
+            of_piece.append(acc)
+        for u, _ in edges:
+            of_piece[u][0] += 1
+        for piece, (kind, ident) in boundary:
+            acc = of_piece[piece]
+            acc[0] -= 1
+            acc[2 if kind == "out" else 3].append(ident)
         groups = []
-        for r, npc in counts.items():
-            chi = npc - contact_count.get(r, 0)
-            outs = sorted(out_cycles.get(r, []))
-            cap_ids = caps.get(r, [])
-            m_raw = len(outs) + len(cap_ids)
-            rem = 2 - chi - m_raw
+        for rem, piecemask, outs, cap_ids in comps.values():
             if rem < 0 or rem % 2:
-                raise AssertionError(f"bad component: chi={chi} boundary={m_raw}")
-            genus = rem // 2
-            piecemask = 0
-            for i, gi in enumerate(group):
-                if gi == r:
-                    piecemask |= 1 << i
-            groups.append((genus, piecemask, tuple(outs), tuple(cap_ids)))
+                raise AssertionError(f"bad component: 2 - chi - boundary = {rem}")
+            groups.append((rem // 2, piecemask, tuple(sorted(outs)), tuple(cap_ids)))
         self.groups = tuple(groups)
 
     def __missing__(self, mask):

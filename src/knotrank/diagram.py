@@ -25,15 +25,16 @@ Crossing-free unknot components cannot be expressed by 4-tuples, so a
 diagram carries an explicit count of them; the text form is the letter
 ``U`` repeated once per such component.
 
-Diagrams are immutable: ``Diagram.__init__`` validates and sets the fields,
-and assigning an attribute afterwards raises AttributeError.  All
-operations return new diagrams and never mutate their inputs.
+Diagrams are immutable: ``Diagram.__init__`` validates and sets every
+field once, the orientation data (``components``, ``successor``,
+``over_in``, ``signs``) included, and assigning an attribute afterwards
+raises AttributeError.  All operations return new diagrams and never
+mutate their inputs.
 """
 
 from __future__ import annotations
 
 import re
-from functools import cached_property
 
 from ._unionfind import UnionFind
 
@@ -53,6 +54,10 @@ class Diagram:
     crossings: tuple[Tuple4, ...]
     extra_components: int   # crossing-free unknot components
     name: str | None
+    components: tuple[tuple[int, ...], ...]  # edge labels, in orientation order
+    successor: dict  # next edge label along the orientation
+    over_in: tuple[int, ...]  # incoming over-strand edge of each crossing
+    signs: tuple[int, ...]  # +1 or -1 per crossing
 
     def __init__(self, crossings, extra_components: int = 0, name: str | None = None):
         crossings = tuple(tuple(int(x) for x in t) for t in crossings)
@@ -63,7 +68,9 @@ class Diagram:
         object.__setattr__(self, "crossings", crossings)
         object.__setattr__(self, "extra_components", extra_components)
         object.__setattr__(self, "name", name)
-        self._trace  # validate eagerly
+        for field, value in zip(("components", "successor", "over_in", "signs"),
+                                _trace_structure(crossings)):
+            object.__setattr__(self, field, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}: a Diagram is immutable")
@@ -79,32 +86,9 @@ class Diagram:
 
     # -- structure ----------------------------------------------------------
 
-    @cached_property
-    def _trace(self):
-        return _trace_structure(self.crossings)
-
     @property
     def edge_count(self) -> int:
         return 2 * len(self.crossings)
-
-    @property
-    def components(self) -> tuple[tuple[int, ...], ...]:
-        """Edge labels of each component, in orientation order."""
-        return self._trace[0]
-
-    @property
-    def successor(self) -> dict:
-        """Next edge label along the orientation."""
-        return self._trace[1]
-
-    @property
-    def over_in(self) -> tuple[int, ...]:
-        """Incoming over-strand edge of each crossing."""
-        return self._trace[2]
-
-    @property
-    def signs(self) -> tuple[int, ...]:
-        return self._trace[3]
 
     @property
     def n_components(self) -> int:

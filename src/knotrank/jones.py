@@ -28,9 +28,6 @@ class JonesPolynomial(NamedTuple):
     poly: LaurentPolynomial
     writhe_used: int
 
-    def in_t(self) -> LaurentPolynomial:
-        return self.poly.q_to_t()
-
     def serialize(self) -> str:
         return self.poly.serialize("q")
 

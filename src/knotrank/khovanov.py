@@ -117,9 +117,6 @@ class BigradedRanks(NamedTuple):
     def total(self) -> int:
         return sum(self.ranks.values())
 
-    def mod(self, m: int) -> int:
-        return self.total % m
-
     def delta_euler(self) -> int:
         """Sum of (-1)^delta * rank over the table, delta = q/2 - h."""
         acc = 0

@@ -121,7 +121,7 @@ def compute_report(d: Diagram | InvalidDiagram, fields, with_deformed: bool = Fa
     if isinstance(d, InvalidDiagram):
         return KnotReport(name=d.name or "?", error=f"{type(d).__name__}: {d}")
     report = KnotReport(name=d.name or "?", crossings=len(d.crossings))
-    deadline = time.monotonic() + timeout if timeout else None
+    deadline = None if timeout is None else time.monotonic() + timeout
     t0 = time.monotonic()
     try:
         if not d.is_knot:

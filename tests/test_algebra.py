@@ -4,7 +4,7 @@ import pytest
 
 from cube_oracle import PolyRing, smith_over_poly_ring
 from knotrank.algebra import (F2, F3, F211, QQ, CoefficientField,
-                              LaurentPolynomial, QuotientClass, parse_field,
+                              LaurentPolynomial, mod_2_t4, parse_field,
                               zeta8_to_iroot2)
 
 
@@ -81,34 +81,33 @@ def test_fields():
 
 
 def test_exponent_folding():
-    assert QuotientClass.from_laurent(LaurentPolynomial({5: 1})) == QuotientClass(0b0010)
+    assert mod_2_t4(LaurentPolynomial({5: 1})) == 0b0010
+    assert mod_2_t4(LaurentPolynomial({-1: 1})) == 0b1000
     # Delta(4_1) = -1/t + 3 - t  ->  1 + t + t^3
     d41 = LaurentPolynomial({-1: -1, 0: 3, 1: -1})
-    assert QuotientClass.from_laurent(d41) == QuotientClass(0b1011)
+    assert mod_2_t4(d41) == 0b1011
     # Delta(6_1) = -2/t + 5 - 2t  ->  1
     d61 = LaurentPolynomial({-1: -2, 0: 5, 1: -2})
-    assert QuotientClass.from_laurent(d61) == QuotientClass(0b0001)
+    assert mod_2_t4(d61) == 0b0001
+
+
+def times_mod_2_t4(x: int, y: int) -> int:
+    """The product of two 4-bit classes in F2[t]/(1+t^4)."""
+    out = 0
+    for i in range(4):
+        for j in range(4):
+            if x >> i & y >> j & 1:
+                out ^= 1 << ((i + j) % 4)
+    return out
 
 
 def test_reduction_is_ring_homomorphism():
     rng = random.Random(5)
     for _ in range(40):
         a, b = rand_poly(rng), rand_poly(rng)
-        ra = QuotientClass.from_laurent(a)
-        rb = QuotientClass.from_laurent(b)
-        assert QuotientClass.from_laurent(a * b) == ra * rb
-        assert QuotientClass.from_laurent(a + b) == ra + rb
-
-
-def test_mul_by_1_plus_t_kernel_and_image():
-    # multiplying by 1 + t is a non-injective map of rank 3 over F2
-    one_plus_t = QuotientClass(0b0011)
-    elements = [QuotientClass(b) for b in range(16)]
-    kernel = [c for c in elements if c * one_plus_t == QuotientClass(0)]
-    assert sorted(c.bits for c in kernel) == [0b0000, 0b1111]
-    image = {(c * one_plus_t).bits for c in elements}
-    assert len(image) == 8  # rank 3 over F2
-    assert QuotientClass(0b0001) * one_plus_t == QuotientClass(0b0011)
+        ra, rb = mod_2_t4(a), mod_2_t4(b)
+        assert mod_2_t4(a * b) == times_mod_2_t4(ra, rb)
+        assert mod_2_t4(a + b) == ra ^ rb
 
 
 # -- Z[zeta_8] ---------------------------------------------------------------

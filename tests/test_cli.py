@@ -1,8 +1,10 @@
+import csv
 import json
+import time
 
 import pytest
 
-from knotrank import cli
+from knotrank import cli, parse_report_jsonl
 from knotrank.cli import main
 from knotrank.corpus import load_corpus
 from knotrank.diagram import format_diagram_file
@@ -221,3 +223,72 @@ def test_bad_field_spec_is_a_usage_error(small_file, tmp_path, capsys, command):
     assert captured.out == "" and "usage:" in captured.err
     assert "4 is not prime" in captured.err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("spec", ("f1111111111111111111", "f" + "9" * 400),
+                         ids=("19-digit-prime", "400-digits"))
+def test_huge_field_spec_is_a_usage_error(small_file, capsys, spec):
+    # a characteristic of 2^31 or more is refused before any arithmetic
+    # on it, so neither a primality test nor a float overflow runs
+    t0 = time.monotonic()
+    with pytest.raises(SystemExit) as exc:
+        main(["kh", small_file, "--field", spec])
+    assert exc.value.code == 2 and time.monotonic() - t0 < 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "prime below 2^31" in captured.err
+
+
+def test_largest_field_spec_is_accepted(small_file, capsys):
+    # 2^31 - 1 is prime; these knots have no torsion, so it reads as q
+    main(["kh", small_file, "--field", "q"])
+    over_q = capsys.readouterr().out
+    main(["kh", small_file, "--field", "f2147483647"])
+    assert capsys.readouterr().out == over_q
+
+
+@pytest.mark.parametrize("option", (["--timeout", "0"], ["--timeout", "-1"],
+                                    ["--max-generators", "-5"],
+                                    ["--max-generators", "0"], ["--jobs", "0"]),
+                         ids=" ".join)
+def test_scan_limit_must_be_positive(small_file, tmp_path, capsys, option):
+    # a limit that is not positive is a usage error, not a deadline or
+    # budget that turns every knot into an error record
+    out = tmp_path / "r.jsonl"
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--input", small_file, *option, "--out", str(out)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "usage:" in captured.err
+    assert "is not positive" in captured.err
+    assert not out.exists()
+
+
+def _scan(small_file, tmp_path, fmt, *options) -> str:
+    out = tmp_path / f"r.{fmt}"
+    main(["scan", "--input", small_file, "--fields", "f3", "--format", fmt,
+          *options, "--out", str(out)])
+    return out.read_text()
+
+
+def test_scan_csv_joins_list_columns(small_file, tmp_path):
+    # a list value, the deformed torsion orders, is one ';'-joined CSV cell
+    records, _ = parse_report_jsonl(_scan(small_file, tmp_path, "jsonl", "--deformed"))
+    text = _scan(small_file, tmp_path, "csv", "--deformed")
+    rows = list(csv.DictReader(l for l in text.splitlines() if not l.startswith("#")))
+    assert [r["name"] for r in rows] == [r["name"] for r in records]
+    assert rows[2]["name"] == "6_1" and rows[2]["deformed_f3_torsion"] == "1;1;1;1"
+    for row, rec in zip(rows, records):
+        joined = ";".join(str(a) for a in rec.get("deformed_f3_torsion", ()))
+        assert row["deformed_f3_torsion"] == joined
+
+
+def test_scan_timings_column(small_file, tmp_path):
+    # --timings appends time_ms to every record; without it the report is
+    # byte-identical from run to run
+    plain = _scan(small_file, tmp_path, "jsonl")
+    assert _scan(small_file, tmp_path, "jsonl") == plain
+    timed, _ = parse_report_jsonl(_scan(small_file, tmp_path, "jsonl", "--timings"))
+    assert all(list(rec)[-1] == "time_ms" and rec.pop("time_ms") >= 0 for rec in timed)
+    assert timed == parse_report_jsonl(plain)[0]
+    assert "time_ms" in _scan(small_file, tmp_path, "csv", "--timings").split("\n")[0]
+    assert "time_ms" not in _scan(small_file, tmp_path, "csv")

@@ -1,10 +1,15 @@
+import itertools
+import random
+
 import pytest
 
+from knotrank.algebra import F2
 from knotrank.corpus import load_corpus
 from knotrank.diagram import (Diagram, InvalidDiagram, connected_sum,
                               crossing_change, disjoint_union, mirror,
                               oriented_resolution, parse_diagram_file, parse_pd)
 from knotrank.jones import jones
+from knotrank.khovanov import KnotScan, khovanov_ranks
 from planarity_oracle import is_planar
 
 TREFOIL = "[[1,4,2,5],[3,6,4,1],[5,2,6,3]]"
@@ -167,3 +172,63 @@ def test_planarity_detects_virtual():
     with pytest.raises(InvalidDiagram, match="genus 1"):
         parse_pd("[[1,3,2,4],[2,1,3,4]]")
     assert not is_planar(((1, 3, 2, 4), (2, 1, 3, 4)))
+
+
+def over_only_component(d: Diagram) -> bool:
+    """Whether ``d`` has a two-edge component that only passes over."""
+    unders = {e for a, _, c, _ in d.crossings for e in (a, c)}
+    return any(len(comp) == 2 and not unders & set(comp) for comp in d.components)
+
+
+def planar(codes):
+    """The diagrams of the codes that pass validation, in sorted order."""
+    out = []
+    for code in sorted(set(codes)):
+        try:
+            out.append(Diagram(code))
+        except InvalidDiagram:
+            pass
+    return out
+
+
+def sampled_codes(n: int, rng: random.Random):
+    """Endless random ``n``-crossing codes whose labels k, k+1 sit in the
+    over slots of two crossings, the one way a two-edge component can
+    only pass over."""
+    while True:
+        k = rng.randrange(1, 2 * n)
+        rest = [e for e in range(1, 2 * n + 1) if e not in (k, k + 1)] * 2
+        rng.shuffle(rest)
+        code = [tuple(rest[4 * i:4 * i + 4]) for i in range(n - 2)]
+        for a, c in (rest[-4:-2], rest[-2:]):
+            b, d = rng.sample((k, k + 1), 2)
+            code.append((a, b, c, d))
+        rng.shuffle(code)
+        yield tuple(code)
+
+
+def test_over_only_component_direction_changes_no_invariant():
+    # a two-edge component that only passes over is oriented by crossing
+    # order (its labels cannot say which way it runs); in a planar diagram
+    # it crosses one other component twice with opposite signs, so its
+    # linking number is 0 and neither Jones nor Kh depends on its direction
+    slots = sorted(2 * list(range(1, 5)))
+    every_two = planar(tuple(p[i:i + 4] for i in range(0, 8, 4))
+                       for p in itertools.permutations(slots))
+    two = [d for d in every_two if over_only_component(d)]
+    three = set()
+    for code in sampled_codes(3, random.Random(19)):
+        three.update(planar([code]))
+        if len(three) == 60:
+            break
+    assert len(two) == 8 and all(map(over_only_component, three))
+    # a code whose two tuple orders gave two Jones polynomials is virtual
+    with pytest.raises(InvalidDiagram, match="genus 1"):
+        parse_pd("[[1,3,2,4],[2,4,1,3]]")
+    for d in [*two, *three]:
+        rev = Diagram(d.crossings[::-1])
+        flipped = [i for i, (s, r) in enumerate(zip(d.signs, rev.signs[::-1])) if s != r]
+        assert len(flipped) == 2 and sum(d.signs[i] for i in flipped) == 0
+        assert jones(rev).poly == jones(d).poly, d.pd_text
+        assert (khovanov_ranks(KnotScan(rev), F2, reduced=False).ranks
+                == khovanov_ranks(KnotScan(d), F2, reduced=False).ranks), d.pd_text

@@ -107,6 +107,13 @@ def test_resource_abort_recorded(corpus):
     assert reports[1].error is None   # batch continues
 
 
+def test_zero_timeout_is_a_passed_deadline(corpus):
+    # timeout 0 is a deadline that has already passed, not "no deadline"
+    assert compute_report(corpus["3_1"], ("f2",), timeout=None).error is None
+    report = compute_report(corpus["3_1"], ("f2",), timeout=0)
+    assert report.error == "ResourceLimit: scan deadline exceeded"
+
+
 @pytest.mark.parametrize("exc", (RuntimeError("deformed free rank 2 != 1"),
                                  AssertionError("non-monomial entry")),
                          ids=lambda e: type(e).__name__)
