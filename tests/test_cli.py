@@ -290,5 +290,5 @@ def test_scan_timings_column(small_file, tmp_path):
     timed, _ = parse_report_jsonl(_scan(small_file, tmp_path, "jsonl", "--timings"))
     assert all(list(rec)[-1] == "time_ms" and rec.pop("time_ms") >= 0 for rec in timed)
     assert timed == parse_report_jsonl(plain)[0]
-    assert "time_ms" in _scan(small_file, tmp_path, "csv", "--timings").split("\n")[0]
+    assert "time_ms" in _scan(small_file, tmp_path, "csv", "--timings").splitlines()[0]
     assert "time_ms" not in _scan(small_file, tmp_path, "csv")
