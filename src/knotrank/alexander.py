@@ -11,11 +11,13 @@ to the Conway form (symmetric, value 1 at t = 1).
 
 from __future__ import annotations
 
+import time
 from typing import NamedTuple
 
 from ._unionfind import UnionFind
 from .algebra import LaurentPolynomial
 from .diagram import Diagram
+from .khovanov import ResourceLimit
 
 
 def _arcs(d: Diagram) -> dict:
@@ -26,9 +28,11 @@ def _arcs(d: Diagram) -> dict:
     return {e: arcs.find(e) for e in d.successor}
 
 
-def _bareiss_det(m: list[list[LaurentPolynomial]]) -> LaurentPolynomial:
+def _bareiss_det(m: list[list[LaurentPolynomial]],
+                 deadline: float | None = None) -> LaurentPolynomial:
     """Fraction-free (Bareiss) determinant over Z[t]: every division is
-    exact in the ring."""
+    exact in the ring.  ``deadline``, a :func:`time.monotonic` time, is
+    checked at each pivot column."""
     n = len(m)
     if n == 0:
         return LaurentPolynomial.one()
@@ -36,6 +40,8 @@ def _bareiss_det(m: list[list[LaurentPolynomial]]) -> LaurentPolynomial:
     sign = 1
     prev = LaurentPolynomial.one()
     for k in range(n - 1):
+        if deadline is not None and time.monotonic() > deadline:
+            raise ResourceLimit("Alexander deadline exceeded")
         if not m[k][k]:
             for i in range(k + 1, n):
                 if m[i][k]:
@@ -78,12 +84,15 @@ def _fox_rows(d: Diagram, arcs: dict, arc_index: dict):
     return rows
 
 
-def alexander_polynomial(d: Diagram) -> LaurentPolynomial:
+def alexander_polynomial(d: Diagram,
+                         deadline: float | None = None) -> LaurentPolynomial:
     """The Conway-normalized Alexander polynomial of a knot diagram:
     symmetric under t -> 1/t and equal to 1 at t = 1.
 
     Every Fox row sums to zero, so the minors that drop one column of
-    the first n - 1 rows agree up to sign; the last column is dropped."""
+    the first n - 1 rows agree up to sign; the last column is dropped.
+    Past ``deadline``, a :func:`time.monotonic` time, the determinant
+    stops at its next pivot column with :class:`.ResourceLimit`."""
     if not d.is_knot:
         raise ValueError("Alexander polynomial implemented for knots only")
     n = len(d.crossings)
@@ -92,7 +101,7 @@ def alexander_polynomial(d: Diagram) -> LaurentPolynomial:
     arcs = _arcs(d)
     arc_index = {r: i for i, r in enumerate(sorted(set(arcs.values())))}
     rows = _fox_rows(d, arcs, arc_index)
-    p = _bareiss_det([row[:-1] for row in rows[:-1]])
+    p = _bareiss_det([row[:-1] for row in rows[:-1]], deadline)
     if not p:
         raise ValueError("Wirtinger minor vanishes")
     return _conway_normalize(p)

@@ -25,15 +25,36 @@ from .diagram import InvalidDiagram, format_diagram_file, parse_diagram_lines
 from .jones import det_from_jones, jones
 from .khovanov import KnotScan, deformed_module, khovanov_ranks
 from .scanner import KNOT_ERRORS, render_csv, render_jsonl, scan
-from .symunion import random_symmetric_union
+from .symunion import knot_twists, random_symmetric_union
 
 
-def _field(token: str):
-    """A field spec as an argparse type: a bad one is a usage error."""
-    try:
-        return parse_field(token)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _parsed(parse):
+    """``parse`` as an argparse type: a ``ValueError`` it raises is a usage
+    error."""
+    def parsed(token: str):
+        try:
+            return parse(token)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parsed
+
+
+def _fields(text: str) -> list:
+    """The fields of a comma-separated spec, at least one."""
+    fields = [parse_field(f) for f in text.split(",") if f.strip()]
+    if not fields:
+        raise ValueError(f"{text!r} names no field")
+    return fields
+
+
+def _at_least(low: int):
+    """An argparse type for an int of at least ``low``: any other value is a
+    usage error."""
+    def at_least(token: str) -> int:
+        if (value := int(token)) < low:
+            raise argparse.ArgumentTypeError(f"{token!r} is below {low}")
+        return value
+    return at_least
 
 
 def _positive(kind):
@@ -108,10 +129,9 @@ def _cmd_kh(args) -> int:
 
 
 def _cmd_symunion(args) -> int:
-    twists = tuple(int(x) for x in args.twists.split(","))
     diagrams = []
     for k in range(args.count):
-        d = random_symmetric_union(args.seed + k, args.crossings, twists)
+        d = random_symmetric_union(args.seed + k, args.crossings, args.twists)
         diagrams.append(d.with_name(f"su_{args.seed + k}"))
     text = format_diagram_file(diagrams)
     if args.out:
@@ -157,7 +177,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("kh", help="Khovanov homology ranks")
     p.add_argument("file")
-    p.add_argument("--field", type=_field, default="q",
+    p.add_argument("--field", type=_parsed(parse_field), default="q",
                    help="q or f<p> (default q)")
     p.add_argument("--unreduced", action="store_true")
     p.add_argument("--deformed", action="store_true",
@@ -168,17 +188,18 @@ def main(argv=None) -> int:
     gensub = p.add_subparsers(dest="subcommand", required=True)
     g = gensub.add_parser("gen", help="generate a batch of symmetric unions")
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--count", type=int, default=1)
-    g.add_argument("--crossings", type=int, default=8,
+    g.add_argument("--count", type=_at_least(0), default=1)
+    g.add_argument("--crossings", type=_at_least(3), default=8,
                    help="max crossings of the random seed diagram")
-    g.add_argument("--twists", default="1", help="comma-separated twist counts")
+    g.add_argument("--twists", default="1",
+                   type=_parsed(lambda text: knot_twists(text.split(","))),
+                   help="comma-separated twist counts, odd in total")
     g.add_argument("--out")
     g.set_defaults(func=_cmd_symunion)
 
     p = sub.add_parser("scan", help="batch invariants and conjecture flags")
     p.add_argument("--input", required=True)
-    p.add_argument("--fields", default="f2,f3,f211,q",
-                   type=lambda text: [_field(f) for f in text.split(",") if f.strip()])
+    p.add_argument("--fields", default="f2,f3,f211,q", type=_parsed(_fields))
     p.add_argument("--jobs", type=_positive(int), default=1)
     p.add_argument("--out")
     p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")

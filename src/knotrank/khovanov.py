@@ -15,10 +15,11 @@ complex.
 Fusing a crossing extends each old entry m1 -> m2 to both smoothings r
 of the crossing, and adds each generator's saddle, which is the identity
 entry of its matching from smoothing 0 to smoothing 1.  Every new entry
-is thus the image of an old one under one glued cobordism, built once
-per (m1, m2, r1, r2): the cycles of m1 u m2, glued to a band per local
-arc (r1 == r2) or to one saddle piece (r1 != r2), with a cap on each new
-circle.  Gaussian elimination composes entries ma -> mb -> mc through
+is thus the image of an old one under one glued cobordism: the cycles of
+m1 u m2, glued to a band per local arc (r1 == r2) or to one saddle piece
+(r1 != r2), with a cap on each new circle.  Both smoothings' templates of
+a pair (m1, m2) are built in one pass over its cycles.  Gaussian
+elimination composes entries ma -> mb -> mc through
 the cycles of ma u mb and of mb u mc, glued along the arcs of mb.  Both
 templates are crossing-local.  A cycle of m1 u m2 through no closing
 slot, and an arc of all three of ma, mb, mc (a strip), is an identity
@@ -28,13 +29,13 @@ is built in a scan, and the glue is the table of its expansions, shared
 by component structure.  Fusing and composing read per-template tables,
 sorted by key: the packed expansion of each dot mask (for fusing, for
 every label pair of the new circles), so an entry term only adds its
-t-power and scales by its coefficient.  The output masks of one
-expansion are distinct (each output cycle lies on one glued component),
-so the image of a single term cannot cancel and is built directly.
-A stored entry is never mutated.  Entries repeat a few values, so fusing
-stores each distinct value once and every entry equal to it shares it;
-elimination writes each entry it updates as a new dict, a copy of the
-old one from which each term of a composite is subtracted as it is read.
+t-power and scales by its coefficient.  A stored entry is never mutated.
+Entries repeat a few values, and an entry's images depend only on its
+matchings and its value, so fusing builds the images of each distinct
+(m1, m2, value) once per step, stores each distinct image once, and
+every entry that repeats them shares them; elimination writes each entry
+it updates as a new dict, a copy of the old one from which each term of
+a composite is subtracted as it is read.
 
 Within a step the scan names each distinct matching by a small int, so
 generators, templates and tables key and compare on ints; the ids are
@@ -95,7 +96,8 @@ from .diagram import Diagram
 
 
 class ResourceLimit(RuntimeError):
-    """The scan exceeded its generator budget or deadline.
+    """The scan exceeded its generator budget or deadline, or the Alexander
+    determinant its deadline.
 
     The budget bounds the complex right after each crossing is fused in,
     before Gaussian elimination, which is where the scan's size peaks.
@@ -282,174 +284,163 @@ class KnotScan:
         inc = self.inc = {}
         step_tables: dict = {}      # template structure -> _Template
         shared: dict = {}           # entry items -> the one stored entry
+        shapes: dict = {}           # shape -> the one stored shape
 
         @cache
         def merged(m):
-            # (new match id, circles) of old match id m, per smoothing
+            # (new match id, circles, first index in the ids row) per
+            # smoothing of old match id m, and (new match id, dh, dq) of
+            # each new generator in its ids row
             both = []
-            for arcs in (ARCS_0, ARCS_1):
+            layout = []
+            for arcs, (dh, dq) in zip((ARCS_0, ARCS_1), shifts):
                 nm, circles = merge_matching(old_ms[m], step, arcs)
-                both.append((interned.setdefault(nm, len(interned)), circles))
-            return both
+                nm = interned.setdefault(nm, len(interned))
+                both.append((nm, circles, len(layout)))
+                layout += [(nm, dh, dq + len(circles) - 2 * lam.bit_count())
+                           for lam in range(1 << len(circles))]
+            return both, layout
 
-        # ids[gid][r][lam]: the new generators, the very int objects that
-        # gens, out and inc key on (base + lam would make copies)
+        # ids[g]: the new generators of old generator g, smoothing 0's then
+        # smoothing 1's, the very int objects that gens, out and inc key on
+        # (base + lam would make copies)
         ids: dict = {}
         gid = self.next_gid
         for g, (m, h, q) in old_gens.items():
-            by_r = []
-            for (nm, circles), (dh, dq) in zip(merged(m), shifts):
-                h1 = h + dh
-                q1 = q + dq + len(circles)
-                row = tuple(range(gid, gid + (1 << len(circles))))
-                gid += len(row)
-                for lam, new in enumerate(row):
-                    gens[new] = (nm, h1, q1 - 2 * lam.bit_count())
-                    out[new] = {}
-                    inc[new] = {}
-                by_r.append(row)
-            ids[g] = tuple(by_r)
+            layout = merged(m)[1]
+            row = ids[g] = tuple(range(gid, gid + len(layout)))
+            gid += len(row)
+            for new, (nm, dh, dq) in zip(row, layout):
+                gens[new] = (nm, h + dh, q + dq)
+                out[new] = {}
+                inc[new] = {}
         self.next_gid = gid
         ms = self.matchings = list(interned)    # new match id -> matching
 
-        def template(m1, m2, r1, r2):
-            # the cycles of m1 u m2, glued at the crossing to a band per
-            # local arc (r1 == r2) or to one saddle piece (r1 != r2); a
-            # cycle through no closing slot only carries its dot to its
-            # out cycle, and the rest is a local surface whose expansions
-            # the scan shares by their component structure
+        def templates(m1, m2, smoothings):
+            # (src start, tgt start, _Template) per smoothing (r1, r2): the
+            # cycles of m1 u m2, glued at the crossing to a band per local
+            # arc (r1 == r2) or to one saddle piece (r1 != r2).  A cycle
+            # through no closing slot only carries its dot to its out cycle,
+            # and the rest is a local surface whose expansions the scan
+            # shares by their component structure.
             pc, _ = cycles_of(old_ms[m1], old_ms[m2])
-            touched = sorted({pc[v] for v in closing})
+            touched = tuple(sorted({pc[v] for v in closing}))
             local_of = {c: i for i, c in enumerate(touched)}
             k = len(touched)
-            band = (k, k + 1) if r1 == r2 else (k, k)
-            piece = {}      # slot -> local piece
-            for i, (x, y) in enumerate(ARCS_0 if r1 == 0 else ARCS_1):
-                piece[x] = piece[y] = band[i]
-            contacts = []
-            for pos, (kind, v) in enumerate(slot_kind):
-                if kind == "close":
-                    contacts.append((piece[pos], local_of[pc[v]]))
-                elif kind == "pair" and pos < v:
-                    contacts.append((piece[pos], piece[v]))
-            (nm1, circles1), (nm2, circles2) = merged(m1)[r1], merged(m2)[r2]
-            boundary = []
-            spread = []     # local out index -> out cycle
-            carried = []    # (1 << cycle, out cycle) of each untouched cycle
-            if ms[nm1]:
-                # an out cycle lies on the piece of its smallest point: an
-                # old open point's cycle, or a new point's local piece
-                _, firsts = cycles_of(ms[nm1], ms[nm2])
-                for cyc, p in enumerate(firsts):
-                    c = pc.get(p)
-                    if c is None:
-                        at = piece[new_slot[p]]
-                    elif c in local_of:
-                        at = local_of[c]
-                    else:
-                        carried.append((1 << c, cyc))
-                        continue
-                    boundary.append((at, ("out", len(spread))))
-                    spread.append(cyc)
-            # a new circle lies on the piece of a local arc it runs through
-            for cap, i in enumerate(circles1 + circles2):
-                boundary.append((band[i], ("cap", cap)))
-            local = (band[1] + 1, tuple(contacts), tuple(boundary),
-                     (len(circles1), len(circles2)))
-            key = (local, tuple(touched), tuple(carried), tuple(spread))
-            tab = step_tables.get(key)
-            if tab is None:
-                tab = step_tables[key] = _Template(
-                    self._local(*local), touched, carried, spread)
-            return tab
+            by_r1, by_r2 = merged(m1)[0], merged(m2)[0]
+            tabs = []
+            for r1, r2 in smoothings:
+                band = (k, k + 1) if r1 == r2 else (k, k)
+                piece = {}      # slot -> local piece
+                for i, (x, y) in enumerate(ARCS_0 if r1 == 0 else ARCS_1):
+                    piece[x] = piece[y] = band[i]
+                contacts = []
+                for pos, (kind, v) in enumerate(slot_kind):
+                    if kind == "close":
+                        contacts.append((piece[pos], local_of[pc[v]]))
+                    elif kind == "pair" and pos < v:
+                        contacts.append((piece[pos], piece[v]))
+                (nm1, circles1, at1), (nm2, circles2, at2) = by_r1[r1], by_r2[r2]
+                boundary = []
+                spread = []     # local out index -> out cycle
+                carried = []    # (1 << cycle, out cycle) of each untouched cycle
+                if ms[nm1]:
+                    # an out cycle lies on the piece of its smallest point:
+                    # an old open point's cycle, or a new point's local piece
+                    _, firsts = cycles_of(ms[nm1], ms[nm2])
+                    for cyc, p in enumerate(firsts):
+                        c = pc.get(p)
+                        if c is None:
+                            at = piece[new_slot[p]]
+                        elif c in local_of:
+                            at = local_of[c]
+                        else:
+                            carried.append((1 << c, cyc))
+                            continue
+                        boundary.append((at, ("out", len(spread))))
+                        spread.append(cyc)
+                # a new circle lies on the piece of a local arc it runs through
+                for cap, i in enumerate(circles1 + circles2):
+                    boundary.append((band[i], ("cap", cap)))
+                local = (band[1] + 1, tuple(contacts), tuple(boundary),
+                         (len(circles1), len(circles2)))
+                key = (local, touched, tuple(carried), tuple(spread))
+                tab = step_tables.get(key)
+                if tab is None:
+                    tab = step_tables[key] = _Template(
+                        self._local(*local), touched, carried, spread)
+                tabs.append((at1, at2, tab))
+            return tabs
+
+        def images(tabs, entry) -> tuple:
+            # (shape, images) of an entry: its image under each template
+            # per label pair, with the (src, tgt) ids row indices of each
+            # nonzero one in ``shape``.  An entry term (t-power, dots mask,
+            # coeff) adds its t-power to every key of the mask's table and
+            # scales it by coeff; the images of several terms may cancel.
+            # Entries repeat a few values, so each image is stored once,
+            # looked up by its items in ``shared``, and shapes are interned.
+            shape = []
+            found = []
+            for src_at, tgt_at, tab in tabs:
+                tables = [(key & ~_MASK, coeff, tab[key & _MASK])
+                          for key, coeff in entry.items()]
+                for i, (lam1, lam2, _) in enumerate(tables[0][2]):
+                    acc: dict = {}
+                    for tbits, coeff, terms in tables:
+                        for k, m in terms[i][2]:
+                            k3 = k + tbits
+                            c3 = acc.get(k3, 0) + coeff * m
+                            if c3:
+                                acc[k3] = c3
+                            else:
+                                acc.pop(k3, None)
+                    if acc:
+                        shape.append((src_at + lam1, tgt_at + lam2))
+                        found.append(shared.setdefault(tuple(acc.items()), acc))
+            shape = tuple(shape)
+            return shapes.setdefault(shape, shape), tuple(found)
 
         # each old entry extends once per smoothing, r = 0 then r = 1; then
         # each generator's saddle is the identity entry from smoothing 0 to
         # smoothing 1 (this order of the new entries fixes the elimination
-        # order).  An entry term (t-power, dots mask, coeff) adds its
-        # t-power to every key of the mask's table and scales it by coeff.
-        # Entries repeat a few values, so each image is stored once, looked
-        # up by its items in ``shared``.  The items of one term are a tuple
-        # display, not a comprehension: CPython 3.11 calls a comprehension
-        # as a function, once per entry.
-        count = 0
-        pairs: dict = {}    # (m1, m2) -> fuse table per smoothing
+        # order).  An entry's images depend only on its matchings and its
+        # value, so each distinct (m1, m2, value) is fused once per step and
+        # every entry that repeats it only stores the images.
+        pairs: dict = {}    # (m1, m2) -> both smoothings' templates; m -> its saddle's
+        fused: dict = {}    # (m1, m2, *entry items) -> (shape, images)
         for g1, (m1, _, _) in old_gens.items():
             self._check_deadline()
-            src_r = ids[g1]
+            src = ids[g1]
             # the old row goes as it is read, so the old complex is freed
             # while the new one grows
             for g2, entry in old_out.pop(g1).items():
                 m2 = old_gens[g2][0]
-                tabs = pairs.get((m1, m2))
-                if tabs is None:
-                    tabs = pairs[m1, m2] = (template(m1, m2, 0, 0),
-                                            template(m1, m2, 1, 1))
-                tgt_r = ids[g2]
-                if len(entry) == 1:
-                    # the keys of one expansion are distinct, so a single
-                    # term's image is built directly: nothing can cancel
-                    [(key, coeff)] = entry.items()
-                    tbits = key & ~_MASK
-                    mask = key & _MASK
-                    for r in (0, 1):
-                        src, tgt = src_r[r], tgt_r[r]
-                        for lam1, lam2, terms in tabs[r][mask]:
-                            if len(terms) == 1:
-                                [(k, m)] = terms
-                                items = ((k + tbits, coeff * m),)
-                            elif terms:
-                                items = tuple([(k + tbits, coeff * m)
-                                               for k, m in terms])
-                            else:
-                                continue
-                            image = (shared.get(items)
-                                     or shared.setdefault(items, dict(items)))
-                            s, t = src[lam1], tgt[lam2]
-                            out[s][t] = inc[t][s] = image
-                            count += 1
-                    continue
-                # several terms: their images may cancel
-                for r in (0, 1):
-                    src, tgt = src_r[r], tgt_r[r]
-                    tables = []
-                    for key, coeff in entry.items():
-                        tables.append((key & ~_MASK, coeff, tabs[r][key & _MASK]))
-                    for i, (lam1, lam2, _) in enumerate(tables[0][2]):
-                        acc: dict = {}
-                        for tbits, coeff, terms in tables:
-                            for k, m in terms[i][2]:
-                                k3 = k + tbits
-                                c3 = acc.get(k3, 0) + coeff * m
-                                if c3:
-                                    acc[k3] = c3
-                                else:
-                                    acc.pop(k3, None)
-                        if acc:
-                            s, t = src[lam1], tgt[lam2]
-                            out[s][t] = inc[t][s] = shared.setdefault(
-                                tuple(acc.items()), acc)
-                            count += 1
-        saddles: dict = {}  # m -> fuse table from smoothing 0 to 1
+                key = (m1, m2, *entry.items())
+                done = fused.get(key)
+                if done is None:
+                    tabs = pairs.get((m1, m2)) or pairs.setdefault(
+                        (m1, m2), templates(m1, m2, ((0, 0), (1, 1))))
+                    done = fused[key] = images(tabs, entry)
+                tgt = ids[g2]
+                for (i, j), image in zip(*done):
+                    s, t = src[i], tgt[j]
+                    out[s][t] = inc[t][s] = image
+        saddles: dict = {}  # (m, coeff) -> (shape, images)
         for g, (m, h, _) in old_gens.items():
-            tab = saddles.get(m)
-            if tab is None:
-                tab = saddles[m] = template(m, m, 0, 1)
-            src, tgt = ids[g]
-            coeff = -1 if h % 2 else 1
-            for lam1, lam2, terms in tab[0]:
-                if len(terms) == 1:
-                    [(k, m)] = terms
-                    items = ((k, coeff * m),)
-                elif terms:
-                    items = tuple([(k, coeff * m) for k, m in terms])
-                else:
-                    continue
-                image = shared.get(items) or shared.setdefault(items, dict(items))
-                s, t = src[lam1], tgt[lam2]
+            key = (m, -1 if h % 2 else 1)
+            done = saddles.get(key)
+            if done is None:
+                tabs = pairs.get(m) or pairs.setdefault(
+                    m, templates(m, m, ((0, 1),)))
+                done = saddles[key] = images(tabs, {0: key[1]})
+            row = ids[g]
+            for (i, j), image in zip(*done):
+                s, t = row[i], row[j]
                 out[s][t] = inc[t][s] = image
-                count += 1
-        self.fused_entries += count
+        # each new entry has its own (s, t): count them once they are in
+        self.fused_entries += sum(map(len, out.values()))
 
     # -- Gaussian elimination --------------------------------------------------
 

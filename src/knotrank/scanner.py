@@ -126,7 +126,7 @@ def compute_report(d: Diagram | InvalidDiagram, fields, with_deformed: bool = Fa
     try:
         if not d.is_knot:
             raise ValueError(f"not a knot ({d.n_components} components)")
-        delta = alexander_polynomial(d)
+        delta = alexander_polynomial(d, deadline)
         report.signed_det = delta.evaluate(-1)
         report.det = abs(report.signed_det)
         # one order for Jones and the one scan, which every field reads
@@ -197,9 +197,14 @@ def _flags(r: KnotReport) -> dict:
 def scan(diagrams, fields=DEFAULT_FIELDS, jobs: int = 1,
          with_deformed: bool = False, timeout: float | None = None,
          max_generators: int | None = None) -> list[KnotReport]:
-    """One report per diagram, in input order regardless of parallelism."""
+    """One report per diagram, in input order regardless of parallelism.
+    ``fields`` must name at least one field: a report without Khovanov
+    ranks would hold every rank flag vacuously."""
+    fields = tuple(fields)
+    if not fields:
+        raise ValueError("scan needs at least one field")
     diagrams = list(diagrams)
-    run = functools.partial(compute_report, fields=tuple(fields),
+    run = functools.partial(compute_report, fields=fields,
                             with_deformed=with_deformed, timeout=timeout,
                             max_generators=max_generators)
     if jobs <= 1 or len(diagrams) <= 1:

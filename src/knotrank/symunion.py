@@ -25,12 +25,19 @@ class SymmetricUnionError(InvalidDiagram):
     """The assembly did not produce a one-component diagram."""
 
 
-def _validate_twists(twists) -> tuple:
+def knot_twists(twists) -> tuple:
+    """Twist regions (signed crossing counts) that make a symmetric union a
+    knot: at least one, each nonzero, with an odd total.  An even total
+    makes a two-component link and raises :class:`SymmetricUnionError`."""
     tw = tuple(int(x) for x in twists)
     if not tw:
         raise ValueError("need at least one twist region")
     if any(x == 0 for x in tw):
         raise ValueError("twist regions must have a nonzero crossing count")
+    total = sum(abs(x) for x in tw)
+    if total % 2 == 0:
+        raise SymmetricUnionError(f"twist total {total} is even: every "
+                                  f"symmetric union is a two-component link")
     return tw
 
 
@@ -39,12 +46,12 @@ def symmetric_union(d: Diagram, twists) -> Diagram:
     regions (signed crossing counts, stacked top to bottom).
 
     The crossing count of the result is 2 * crossings(d) + sum(|n_i|).
-    Raises :class:`SymmetricUnionError` when the twist parity makes the
-    assembly a two-component link instead of a knot.
+    Raises :class:`SymmetricUnionError` when the twist total is even, which
+    would make the assembly a two-component link instead of a knot.
     """
     if not d.is_knot:
         raise InvalidDiagram("symmetric union takes a knot diagram")
-    tw = _validate_twists(twists)
+    tw = knot_twists(twists)
     m = sum(abs(x) for x in tw)
     signs = []
     for n in tw:
@@ -53,8 +60,8 @@ def symmetric_union(d: Diagram, twists) -> Diagram:
     # The twist channel carries two antiparallel strands: L runs downward
     # from D through all the crossings, R runs back upward into the mirror
     # half.  They swap columns at each crossing (a genuine twist region),
-    # so an odd total lets L cross over to the mirror side (a knot) while
-    # an even total closes each half onto itself (a 2-component link).
+    # so an odd total lets L cross over to the mirror side (a knot); an
+    # even total, refused above, closes each half onto itself (a link).
     if d.crossings:
         shift = d.edge_count
         fresh = 2 * shift + 1
@@ -74,10 +81,7 @@ def symmetric_union(d: Diagram, twists) -> Diagram:
             fresh += 1
             R[j - 1] = fresh
             fresh += 1
-        if m % 2:
-            _reroute_heads(recs, {e_mirror: L[m], e: R[0]})
-        else:
-            _reroute_heads(recs, {e: L[m], e_mirror: R[0]})
+        _reroute_heads(recs, {e_mirror: L[m], e: R[0]})
     else:
         # seed is the crossingless unknot: each half is a bare arc, so the
         # channel strands tie directly into each other at both ends
@@ -110,8 +114,7 @@ def symmetric_union(d: Diagram, twists) -> Diagram:
         raise SymmetricUnionError(f"assembly failed: {exc}") from exc
     if not out.is_knot:
         raise SymmetricUnionError(
-            f"twist total {m} is even: the union closes into "
-            f"{out.n_components} components, not a knot")
+            f"the union closes into {out.n_components} components, not a knot")
     return out
 
 
@@ -169,7 +172,11 @@ def _try_random(rng: random.Random, n: int) -> Diagram | None:
 
 
 def random_symmetric_union(seed: int, n: int, twists=(1,)) -> Diagram:
-    """A seeded ribbon knot: symmetric union of a random <= n crossing seed."""
+    """A seeded ribbon knot: symmetric union of a random <= n crossing seed.
+
+    Twists with an even total raise :class:`SymmetricUnionError` at once:
+    every union is then a link, and no seed would do."""
+    twists = knot_twists(twists)
     rng = random.Random(seed)
     while True:
         d = random_diagram(rng.randrange(1 << 30), n)

@@ -5,6 +5,8 @@ from knotrank.alexander import alexander_polynomial, conway_potential
 from knotrank.corpus import RIBBON_NAMES, load_corpus
 from knotrank.diagram import connected_sum, mirror
 from knotrank.jones import det_from_jones
+from knotrank.khovanov import ResourceLimit
+from knotrank.scanner import compute_report
 
 
 @pytest.fixture(scope="module")
@@ -132,3 +134,32 @@ def test_pinned_ribbon_polynomials(corpus, name):
     half = PINNED_RIBBON[name]
     expected = LaurentPolynomial({**{-e: c for e, c in half.items()}, **half})
     assert alexander_polynomial(corpus[name]) == expected
+
+
+def test_deadline_stops_the_determinant(corpus, monkeypatch):
+    # a clock that passes the deadline halfway through the pivot columns of
+    # the Bareiss determinant: Alexander stops at the next column, and the
+    # knot's report is one error record.  Without a deadline the clock is
+    # never read
+    from knotrank import alexander
+
+    d = corpus["18nh_00159590"]
+    expected = alexander_polynomial(d)
+    columns = len(d.crossings) - 2      # of the (n - 1) x (n - 1) minor
+    reads = []
+
+    class Clock:
+        @classmethod
+        def monotonic(cls):
+            reads.append(None)
+            return 1e12 if len(reads) > columns // 2 else 0.0
+
+    monkeypatch.setattr(alexander, "time", Clock)
+    assert alexander_polynomial(d) == expected and reads == []
+    with pytest.raises(ResourceLimit):
+        alexander_polynomial(d, deadline=1.0)
+    assert len(reads) == columns // 2 + 1
+    reads.clear()
+    report = compute_report(d, ("f2",), timeout=3600)
+    assert report.error == "ResourceLimit: Alexander deadline exceeded"
+    assert len(reads) == columns // 2 + 1 and report.det is None

@@ -77,6 +77,41 @@ def test_symunion_gen_and_scan(tmp_path, capsys):
     assert rec["flag_levine"] is True
 
 
+@pytest.mark.parametrize("option, message", (
+    (["--twists", "2"], "twist total 2 is even"),
+    (["--twists", "1,x"], "invalid literal for int()"),
+    (["--twists", ""], "invalid literal for int()"),
+    (["--crossings", "2"], "'2' is below 3"),
+    (["--count", "-1"], "'-1' is below 0"),
+), ids=("even-twist-total", "twist-not-an-int", "no-twists", "crossings-2",
+        "negative-count"))
+def test_symunion_gen_bad_option_is_a_usage_error(tmp_path, capsys, option,
+                                                  message):
+    # an even twist total makes every union a link, so the generator would
+    # retry forever; a twist spec that is not a list of ints or fewer than
+    # 3 crossings ended in a traceback, and a negative count printed nothing
+    out = tmp_path / "su.txt"
+    with pytest.raises(SystemExit) as exc:
+        main(["symunion", "gen", *option, "--out", str(out)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "usage:" in captured.err
+    assert message in captured.err
+    assert not out.exists()
+
+
+def test_scan_without_fields_is_a_usage_error(small_file, tmp_path, capsys):
+    # "--fields ," named no field and wrote records with a vacuous
+    # flag_c12_mod4: true
+    out = tmp_path / "r.jsonl"
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--input", small_file, "--fields", ",", "--out", str(out)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "names no field" in captured.err
+    assert not out.exists()
+
+
 def test_scan_timeout_exit_code(tmp_path):
     c = load_corpus()
     path = tmp_path / "big.txt"

@@ -13,6 +13,7 @@ import split_complex_oracle
 from compose_oracle import compose_template_glued
 from cube_oracle import (CubeComplex, deformed_factors, kh_table,
                          smith_over_poly_ring)
+from fuse_oracle import fuse_complex
 from knotrank._tangle import scan_order
 from knotrank.algebra import F2, F3, QQ, CoefficientField
 from knotrank.cobordism import MASK_BITS, cycles_of
@@ -165,7 +166,7 @@ def test_basepoint_independence(corpus):
 
 def test_default_cut_work(corpus):
     # the default cut at the last crossing of the order needs at most a
-    # quarter of the cobordism work of a cut at edge 1 (1156 against 7353
+    # quarter of the cobordism work of a cut at edge 1 (1001 against 6299
     # cycles_of calls); each scan clears the cache when it starts
     d = corpus["18nh_00159590"]
     calls = []
@@ -583,16 +584,19 @@ FINAL_COMPLEXES = {
 }
 
 # cycles_of (calls, misses) of each pinned scan, at most: the digests do
-# not show a fuse template rebuilt per dot mask, these counters do
+# not show a fuse template rebuilt per dot mask, these counters do.  Both
+# smoothings' templates of an entry pair share one cycles_of of the old
+# pair; built apart they made 1178, 1462, 1976, 5994, 2496, 81, 1166 and
+# 335 calls, with the same misses
 CYCLES_OF_WORK = {
-    "18nh_00159590": (1178, 186),
-    "18nh_00752242": (1462, 227),
-    "19nh_000129633": (1976, 352),
-    "19nh_000305767": (5994, 858),
-    "symunion24": (2496, 393),
-    "6_2": (81, 17),
-    "mirror(18nh_00159590)": (1166, 184),
-    "su8_seed143": (335, 66),
+    "18nh_00159590": (1001, 186),
+    "18nh_00752242": (1250, 227),
+    "19nh_000129633": (1679, 352),
+    "19nh_000305767": (5211, 858),
+    "symunion24": (2135, 393),
+    "6_2": (70, 17),
+    "mirror(18nh_00159590)": (989, 184),
+    "su8_seed143": (281, 66),
 }
 
 # the costliest knot of perfbench/symunion_pool.pd
@@ -670,11 +674,13 @@ GLUE_BUILDS = {
 def test_scan_peak_memory(corpus):
     # each entry value is stored once and never changed, and the old
     # complex is freed while the next one is fused: the traced peak of this
-    # scan, the corpus's largest, is 1.64-1.70 MB on CPython 3.11 (it moves
-    # with the tests run before it), against 3.95-4.11 MB with one dict per
-    # entry composed in place, 3.36 MB without the shared values and 1.95 MB
-    # with the old complex kept to the end of each fuse.  A first untraced
-    # scan fills the bounded module caches.
+    # scan, the corpus's largest, is 1.72 MB on CPython 3.11, alone and in
+    # the full run, with each fuse step's images kept per distinct (pair,
+    # value).  It read 1.64-1.76 MB (moving with the tests run before it)
+    # with the images built per entry, 3.95-4.11 MB with one dict per
+    # entry composed in place, 3.36 MB without the shared values and 1.95
+    # MB with the old complex kept to the end of each fuse.  A first
+    # untraced scan fills the bounded module caches.
     d = corpus["19nh_000305767"]
     KnotScan(d).final_complex()
     tracemalloc.start()
@@ -726,3 +732,40 @@ def test_scans_keep_no_tables(corpus):
             assert size <= 64, key
         else:
             assert size == before[key], key
+
+
+def in_order(matchings, gens, out, inc, next_gid) -> tuple:
+    """A complex as lists, so that comparing two compares every row, entry
+    and entry term in its insertion order."""
+    def rows(table):
+        return [(s, [(t, list(e.items())) for t, e in row.items()])
+                for s, row in table.items()]
+    return matchings, list(gens.items()), rows(out), rows(inc), next_gid
+
+
+@pytest.mark.parametrize("name", FINAL_COMPLEXES)
+def test_fuse_matches_per_entry_oracle(corpus, monkeypatch, name):
+    # each fuse step of a pinned scan makes the complex that fusing every
+    # old entry on its own makes, with the new entries in the same order
+    # (the elimination order depends on it), and stores each distinct
+    # entry value once
+    from knotrank import khovanov
+
+    real_fuse = khovanov.KnotScan._fuse
+    steps = []
+
+    def checked_fuse(self, step):
+        expected = fuse_complex(self.matchings, self.gens, self.out,
+                                self.next_gid, step)
+        real_fuse(self, step)
+        assert in_order(self.matchings, self.gens, self.out, self.inc,
+                        self.next_gid) == in_order(*expected)
+        values = [e for row in self.out.values() for e in row.values()]
+        assert (len({id(e) for e in values})
+                == len({tuple(e.items()) for e in values}))
+        steps.append(step)
+
+    monkeypatch.setattr(khovanov.KnotScan, "_fuse", checked_fuse)
+    d = pinned_diagram(corpus, name)
+    KnotScan(d).final_complex()
+    assert len(steps) == len(d.crossings)

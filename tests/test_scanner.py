@@ -108,10 +108,18 @@ def test_resource_abort_recorded(corpus):
 
 
 def test_zero_timeout_is_a_passed_deadline(corpus):
-    # timeout 0 is a deadline that has already passed, not "no deadline"
+    # timeout 0 is a deadline that has already passed, not "no deadline";
+    # Alexander, the first layer of a report, checks it first
     assert compute_report(corpus["3_1"], ("f2",), timeout=None).error is None
     report = compute_report(corpus["3_1"], ("f2",), timeout=0)
-    assert report.error == "ResourceLimit: scan deadline exceeded"
+    assert report.error == "ResourceLimit: Alexander deadline exceeded"
+
+
+def test_scan_needs_a_field(corpus):
+    # with no field a report holds no Khovanov rank, and every rank flag,
+    # c12_mod4 among them, would hold vacuously
+    with pytest.raises(ValueError):
+        scan([corpus["3_1"]], fields=())
 
 
 @pytest.mark.parametrize("exc", (RuntimeError("deformed free rank 2 != 1"),

@@ -86,6 +86,13 @@ def test_random_symmetric_union_batch():
         assert arf(s).value == 0
 
 
+def test_random_union_rejects_even_twist_total():
+    # every union is then a link: the generator must refuse, not retry
+    for twists in ((2,), (1, 1), (1, -3)):
+        with pytest.raises(ValueError, match="is even"):
+            random_symmetric_union(0, 8, twists)
+
+
 def test_random_diagram_rejects_small_n():
     with pytest.raises(ValueError):
         random_diagram(1, 2)
