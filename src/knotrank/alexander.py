@@ -32,7 +32,10 @@ def _bareiss_det(m: list[list[LaurentPolynomial]],
                  deadline: float | None = None) -> LaurentPolynomial:
     """Fraction-free (Bareiss) determinant over Z[t]: every division is
     exact in the ring.  ``deadline``, a :func:`time.monotonic` time, is
-    checked at each pivot column."""
+    checked at each pivot column.  The Fox matrix stays sparse, so
+    ``m[i][k] * m[k][j]`` is formed only when both factors are nonzero (a
+    zero product adds nothing: a row with no entry in the pivot column is
+    only scaled by the pivot) and no zero result is divided (0 / prev = 0)."""
     n = len(m)
     if n == 0:
         return LaurentPolynomial.one()
@@ -50,11 +53,15 @@ def _bareiss_det(m: list[list[LaurentPolynomial]],
                     break
             else:
                 return LaurentPolynomial()
-        for i in range(k + 1, n):
+        pivot, pivot_row = m[k][k], m[k]
+        for row in m[k + 1:]:
+            a = row[k]
             for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]).exact_div(prev)
-            m[i][k] = LaurentPolynomial()
-        prev = m[k][k]
+                x = row[j] * pivot
+                if a and pivot_row[j]:
+                    x -= a * pivot_row[j]
+                row[j] = x.exact_div(prev) if x else x
+        prev = pivot
     return m[n - 1][n - 1] * sign
 
 

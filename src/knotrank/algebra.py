@@ -110,6 +110,9 @@ class LaurentPolynomial:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
+        # a constant equals its int, so it must hash like it
+        if self.coeffs.keys() <= {0}:
+            return hash(self.coeffs.get(0, 0))
         return hash(frozenset(self.coeffs.items()))
 
     def __add__(self, other):

@@ -1,9 +1,12 @@
+from pathlib import Path
+
 import pytest
 
+from alexander_oracle import alexander_by_evaluation
 from knotrank.algebra import LaurentPolynomial
 from knotrank.alexander import alexander_polynomial, conway_potential
 from knotrank.corpus import RIBBON_NAMES, load_corpus
-from knotrank.diagram import connected_sum, mirror
+from knotrank.diagram import connected_sum, mirror, parse_diagram_file
 from knotrank.jones import det_from_jones
 from knotrank.khovanov import ResourceLimit
 from knotrank.scanner import compute_report
@@ -163,3 +166,46 @@ def test_deadline_stops_the_determinant(corpus, monkeypatch):
     report = compute_report(d, ("f2",), timeout=3600)
     assert report.error == "ResourceLimit: Alexander deadline exceeded"
     assert len(reads) == columns // 2 + 1 and report.det is None
+
+
+POOL_FILE = Path(__file__).resolve().parents[1] / "perfbench" / "symunion_pool.pd"
+
+
+@pytest.mark.parametrize("source", ("corpus", "pool"))
+def test_matches_integer_oracle(corpus, source):
+    # the polynomial Bareiss determinant against one integer determinant
+    # read back from its digits; the pool's sparse minors are where most
+    # zero updates are skipped
+    if source == "corpus":
+        knots = [d for d in corpus.values() if d.is_knot]
+    else:
+        knots = parse_diagram_file(POOL_FILE.read_text())
+    for d in knots:
+        assert alexander_polynomial(d) == alexander_by_evaluation(d), d.name
+
+
+# (exact_div, __mul__) calls of one alexander_polynomial: every product
+# with a zero factor and every division of zero is skipped (the dense
+# elimination made 3,795 / 7,591 and 1,785 / 3,571 calls)
+BAREISS_WORK = {
+    "symunion24": (863, 3947),
+    "19nh_000305767": (585, 1947),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAREISS_WORK))
+def test_bareiss_skips_zero_work(corpus, monkeypatch, name):
+    calls = {"exact_div": 0, "__mul__": 0}
+
+    def counted(method):
+        original = getattr(LaurentPolynomial, method)
+
+        def wrapper(self, other):
+            calls[method] += 1
+            return original(self, other)
+        monkeypatch.setattr(LaurentPolynomial, method, wrapper)
+
+    counted("exact_div")
+    counted("__mul__")
+    alexander_polynomial(corpus[name])
+    assert (calls["exact_div"], calls["__mul__"]) == BAREISS_WORK[name]

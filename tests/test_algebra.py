@@ -36,6 +36,17 @@ def test_laurent_no_zero_coefficients_stored():
     assert 3 not in p.coeffs
 
 
+def test_laurent_constant_hashes_as_its_int():
+    # equal values must hash alike, so a constant finds its int's key
+    assert LaurentPolynomial({0: 5}) == 5
+    assert hash(LaurentPolynomial({0: 5})) == hash(5)
+    assert {5: "a"}.get(LaurentPolynomial({0: 5})) == "a"
+    assert {0: "z"}.get(LaurentPolynomial.zero()) == "z"
+    assert {LaurentPolynomial({0: -1}): "b"}.get(-1) == "b"
+    p = LaurentPolynomial({0: 5, 1: 1})
+    assert {p: "c"}.get(LaurentPolynomial({1: 1, 0: 5})) == "c"
+
+
 def test_laurent_eval():
     p = LaurentPolynomial({-1: 1, 0: -1, 1: 1})  # trefoil Alexander
     assert p.evaluate(1) == 1
