@@ -25,7 +25,7 @@ def _arcs(d: Diagram) -> dict:
     arcs = UnionFind()
     for ci in range(len(d.crossings)):
         arcs.union(*d.over_pair(ci))
-    return {e: arcs.find(e) for e in d.successor}
+    return {e: arcs.find(e) for comp in d.components for e in comp}
 
 
 def _bareiss_det(m: list[list[LaurentPolynomial]],

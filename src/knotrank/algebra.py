@@ -86,16 +86,8 @@ class LaurentPolynomial:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "LaurentPolynomial":
-        return cls()
-
-    @classmethod
     def one(cls) -> "LaurentPolynomial":
         return cls({0: 1})
-
-    @classmethod
-    def monomial(cls, coeff, exp: int) -> "LaurentPolynomial":
-        return cls({exp: coeff})
 
     # -- ring structure ----------------------------------------------------
 

@@ -20,7 +20,7 @@ from typing import NamedTuple
 from .algebra import LaurentPolynomial, mod_2_t4, zeta8_to_iroot2
 from .alexander import alexander_polynomial, conway_potential
 from .diagram import Diagram
-from .jones import JonesPolynomial, jones
+from .jones import jones
 
 ROUTE_NAMES = ("levine", "alexander_mod", "jones_mod", "jones_at_i", "conway_a2")
 
@@ -29,7 +29,7 @@ class ArfResult(NamedTuple):
     value: int
     routes: dict
     consistent: bool
-    jones: JonesPolynomial      # the Jones polynomial the routes read
+    jones: LaurentPolynomial    # the Jones polynomial the routes read
 
     def route_vector(self) -> str:
         return ",".join(f"{k}={self.routes[k]}" for k in ROUTE_NAMES)
@@ -63,9 +63,9 @@ def arf_from_alexander(delta: LaurentPolynomial) -> int:
     return _class_to_arf(mod_2_t4(delta), "Alexander polynomial")
 
 
-def arf_from_jones(v: JonesPolynomial) -> int:
+def arf_from_jones(v: LaurentPolynomial) -> int:
     """Reduction of a knot Jones polynomial mod (2, 1 + t^4)."""
-    return _class_to_arf(mod_2_t4(v.poly.q_to_t()), "Jones polynomial")
+    return _class_to_arf(mod_2_t4(v.q_to_t()), "Jones polynomial")
 
 
 def arf_from_jones_at_i(value: tuple) -> int:
@@ -94,7 +94,7 @@ def arf(d: Diagram, delta: LaurentPolynomial | None = None,
     routes["alexander_mod"] = arf_from_alexander(delta)
     routes["jones_mod"] = arf_from_jones(v)
     routes["jones_at_i"] = arf_from_jones_at_i(
-        zeta8_to_iroot2(v.poly.evaluate_zeta8(1)))
+        zeta8_to_iroot2(v.evaluate_zeta8(1)))
     routes["conway_a2"] = conway_potential(delta).a2 % 2
     counts = Counter(routes.values())
     value, _ = counts.most_common(1)[0]

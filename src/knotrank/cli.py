@@ -21,7 +21,7 @@ from pathlib import Path
 from .algebra import format_iroot2, parse_field
 from .alexander import alexander_polynomial, conway_potential
 from .arf import arf
-from .diagram import InvalidDiagram, format_diagram_file, parse_diagram_lines
+from .diagram import Diagram, InvalidDiagram, format_diagram_file, parse_diagram_lines
 from .jones import det_from_jones, jones
 from .khovanov import KnotScan, deformed_module, khovanov_ranks
 from .scanner import KNOT_ERRORS, render_csv, render_jsonl, scan
@@ -87,8 +87,8 @@ def _rows(path: str, row, placeholder: str) -> int:
 def _cmd_jones(args) -> int:
     def row(d):
         v = jones(d)
-        det = det_from_jones(d) if d.is_knot else ""
-        vi = format_iroot2(v.poly.evaluate_zeta8(1))
+        det = det_from_jones(v) if d.is_knot else ""
+        vi = format_iroot2(v.evaluate_zeta8(1))
         return f"{d.name}\t{v.serialize()}\t{det}\t{vi}"
     return _rows(args.file, row, "-\t-\t-")
 
@@ -132,7 +132,7 @@ def _cmd_symunion(args) -> int:
     diagrams = []
     for k in range(args.count):
         d = random_symmetric_union(args.seed + k, args.crossings, args.twists)
-        diagrams.append(d.with_name(f"su_{args.seed + k}"))
+        diagrams.append(Diagram(d.crossings, d.extra_components, f"su_{args.seed + k}"))
     text = format_diagram_file(diagrams)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")

@@ -26,10 +26,9 @@ diagram carries an explicit count of them; the text form is the letter
 ``U`` repeated once per such component.
 
 Diagrams are immutable: ``Diagram.__init__`` validates and sets every
-field once, the orientation data (``components``, ``successor``,
-``over_in``, ``signs``) included, and assigning an attribute afterwards
-raises AttributeError.  All operations return new diagrams and never
-mutate their inputs.
+field once, the orientation data (``components`` and ``signs``)
+included, and assigning an attribute afterwards raises AttributeError.
+All operations return new diagrams and never mutate their inputs.
 """
 
 from __future__ import annotations
@@ -55,8 +54,6 @@ class Diagram:
     extra_components: int   # crossing-free unknot components
     name: str | None
     components: tuple[tuple[int, ...], ...]  # edge labels, in orientation order
-    successor: dict  # next edge label along the orientation
-    over_in: tuple[int, ...]  # incoming over-strand edge of each crossing
     signs: tuple[int, ...]  # +1 or -1 per crossing
 
     def __init__(self, crossings, extra_components: int = 0, name: str | None = None):
@@ -68,9 +65,9 @@ class Diagram:
         object.__setattr__(self, "crossings", crossings)
         object.__setattr__(self, "extra_components", extra_components)
         object.__setattr__(self, "name", name)
-        for field, value in zip(("components", "successor", "over_in", "signs"),
-                                _trace_structure(crossings)):
-            object.__setattr__(self, field, value)
+        components, signs = _trace_structure(crossings)
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "signs", signs)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}: a Diagram is immutable")
@@ -102,14 +99,10 @@ class Diagram:
     def writhe(self) -> int:
         return sum(self.signs)
 
-    def _check_index(self, i: int):
-        if not 0 <= i < len(self.crossings):
-            raise IndexError(f"crossing index {i} out of range")
-
     def over_pair(self, i: int) -> tuple[int, int]:
         """(incoming, outgoing) over-strand edges at crossing i."""
         _, b, _, d = self.crossings[i]
-        return (d, b) if self.over_in[i] == d else (b, d)
+        return (d, b) if self.signs[i] == 1 else (b, d)
 
     # -- text form -----------------------------------------------------------
 
@@ -126,9 +119,6 @@ class Diagram:
     def __repr__(self):
         label = self.name or "diagram"
         return f"<Diagram {label}: {len(self.crossings)} crossings, {self.n_components} component(s)>"
-
-    def with_name(self, name: str) -> "Diagram":
-        return Diagram(self.crossings, self.extra_components, name)
 
 
 # ---------------------------------------------------------------------------
@@ -153,12 +143,12 @@ def _trace_structure(crossings):
     succ: dict[int, int] = {}
     for ci, (a, _, c, _) in enumerate(crossings):
         _claim(succ, a, c, ci)
-    over_in = []
+    signs = []
     for ci, (_, b, _, d) in enumerate(crossings):
         lo, hi = min(b, d), max(b, d)
         oin = lo if hi - lo <= 1 and lo not in succ else hi
         _claim(succ, oin, b + d - oin, ci)
-        over_in.append(oin)
+        signs.append(1 if oin == d != b else -1)
 
     # each label appears exactly twice and, by the claims, runs into one
     # crossing, so it runs out of exactly one: succ is a permutation and
@@ -174,9 +164,7 @@ def _trace_structure(crossings):
         raise InvalidDiagram(
             f"the rotation system has genus {genus}: the PD code is not planar "
             f"(a virtual diagram)")
-    succ = {e: succ[e] for comp in components for e in comp}
-    signs = tuple(1 if oin == d != b else -1 for oin, (_, b, _, d) in zip(over_in, crossings))
-    return components, succ, tuple(over_in), signs
+    return components, tuple(signs)
 
 
 def _genus(crossings, slots: dict, components) -> int:
@@ -339,39 +327,6 @@ def mirror(d: Diagram) -> Diagram:
     return out
 
 
-def crossing_change(d: Diagram, i: int) -> Diagram:
-    """Swap over and under strands at crossing i."""
-    d._check_index(i)
-    recs = _records(d)
-    tup, oin_pos = recs[i]
-    rolled = tuple(tup[(oin_pos + k) % 4] for k in range(4))
-    new_oin_pos = (0 - oin_pos) % 4  # old under-in lands here
-    recs[i] = (rolled, new_oin_pos)
-    return _assemble(recs, d.extra_components,
-                     name=f"{d.name}.switch{i}" if d.name else None)
-
-
-def oriented_resolution(d: Diagram, i: int) -> Diagram:
-    """Replace crossing i by the smoothing that respects orientation."""
-    d._check_index(i)
-    recs = _records(d)
-    tup, oin_pos = recs.pop(i)
-    a, c = tup[0], tup[2]
-    o_in, o_out = tup[oin_pos], tup[4 - oin_pos]
-    # merge under-in with over-out, over-in with under-out; each merged
-    # edge keeps its smallest label
-    edges = UnionFind()
-    circles = sum(not edges.union(x, y) for x, y in ((a, o_out), (o_in, c)))
-    out_recs = []
-    for tup2, oin2 in recs:
-        out_recs.append((tuple(edges.find(e) for e in tup2), oin2))
-    if not out_recs and circles == 0:
-        # the merged strand survives with no crossings left
-        circles = 1
-    return _assemble(out_recs, d.extra_components + circles,
-                     name=f"{d.name}.res{i}" if d.name else None)
-
-
 def connected_sum(d1: Diagram, d2: Diagram, e1: int | None = None,
                   e2: int | None = None) -> Diagram:
     """Connected sum of two knot diagrams, spliced at the given edges
@@ -389,7 +344,7 @@ def connected_sum(d1: Diagram, d2: Diagram, e1: int | None = None,
         e1 = d1.edge_count
     if e2 is None:
         e2 = d2.edge_count
-    if e1 not in d1.successor or e2 not in d2.successor:
+    if e1 not in d1.components[0] or e2 not in d2.components[0]:
         raise InvalidDiagram("splice edge not present")
     shift = d1.edge_count
     recs = _records(d1)
@@ -418,12 +373,3 @@ def _reroute_heads(recs, labels: dict) -> None:
         tup, oin_pos = recs[k]
         recs[k] = (tup[:pos] + (new,) + tup[pos + 1:], oin_pos)
 
-
-def disjoint_union(d1: Diagram, d2: Diagram) -> Diagram:
-    """Split (distant) union of two diagrams."""
-    shift = max([0] + [e for t in d1.crossings for e in t])
-    recs = _records(d1)
-    for tup, oin in _records(d2):
-        recs.append((tuple(e + shift for e in tup), oin))
-    name = f"{d1.name}+{d2.name}" if d1.name and d2.name else None
-    return _assemble(recs, d1.extra_components + d2.extra_components, name)

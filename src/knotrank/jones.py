@@ -12,24 +12,12 @@ exponents: knots use even q-powers only, two-component links odd ones.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from ._tangle import ARCS_0, ARCS_1, CrossingStep, merge_matching, scan_order
 from .algebra import LaurentPolynomial
 from .diagram import Diagram
 
 # loop value of the bracket: -A^2 - A^{-2}
 _DELTA_A = LaurentPolynomial({2: -1, -2: -1})
-
-
-class JonesPolynomial(NamedTuple):
-    """Jones polynomial in q = t^(1/2), normalized so V(unknot) = 1."""
-
-    poly: LaurentPolynomial
-    writhe_used: int
-
-    def serialize(self) -> str:
-        return self.poly.serialize("q")
 
 
 def kauffman_bracket(d: Diagram, order: list[int] | None = None) -> LaurentPolynomial:
@@ -45,7 +33,7 @@ def kauffman_bracket(d: Diagram, order: list[int] | None = None) -> LaurentPolyn
         for matching, poly in states.items():
             for arcs, exp in ((ARCS_0, 1), (ARCS_1, -1)):
                 new_matching, circles = merge_matching(matching, step, arcs)
-                weight = LaurentPolynomial.monomial(1, exp)
+                weight = LaurentPolynomial({exp: 1})
                 for _ in circles:
                     weight = weight * _DELTA_A
                 contrib = poly * weight
@@ -76,17 +64,14 @@ def _normalize(bracket: LaurentPolynomial, writhe: int) -> LaurentPolynomial:
     return LaurentPolynomial(out)
 
 
-def jones(d: Diagram, order: list[int] | None = None) -> JonesPolynomial:
-    """The Jones polynomial of an oriented link diagram (``order`` as in
-    :func:`kauffman_bracket`)."""
-    return JonesPolynomial(_normalize(kauffman_bracket(d, order), d.writhe), d.writhe)
+def jones(d: Diagram, order: list[int] | None = None) -> LaurentPolynomial:
+    """The Jones polynomial of an oriented link diagram in q = t^(1/2),
+    normalized so V(unknot) = 1 (``order`` as in :func:`kauffman_bracket`)."""
+    return _normalize(kauffman_bracket(d, order), d.writhe)
 
 
-def det_from_jones(d: Diagram) -> int:
-    """|V(-1)|, evaluated exactly via q at a square root of -1."""
-    if not d.is_knot:
-        raise ValueError("determinant via Jones is defined here for knots")
-    c0, c1, c2, c3 = jones(d).poly.evaluate_zeta8(2)
-    if c1 or c3 or (c0 and c2):
-        raise ValueError(f"V(-1) not a Gaussian integer of the expected form: {(c0, c1, c2, c3)}")
-    return abs(c0) if c0 else abs(c2)
+def det_from_jones(v: LaurentPolynomial) -> int:
+    """|V(-1)| of a Jones polynomial ``v`` with integer t-powers; one with a
+    half-integer t-power (a link of an even number of components) raises
+    ValueError."""
+    return abs(v.q_to_t().evaluate(-1))

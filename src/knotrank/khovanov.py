@@ -199,7 +199,7 @@ class KnotScan:
         if d.is_knot and d.crossings:
             if basepoint is None:
                 basepoint = min(d.crossings[self.order[-1]])
-            elif basepoint not in d.successor:
+            elif basepoint not in d.components[0]:
                 raise ValueError(f"basepoint edge {basepoint} not in diagram")
             self.cut_edge = basepoint
         self.budget = 400_000 if max_generators is None else max_generators

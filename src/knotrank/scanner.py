@@ -149,7 +149,7 @@ def compute_report(d: Diagram | InvalidDiagram, fields, with_deformed: bool = Fa
                 raise RuntimeError(
                     f"reduced {fld.name} Euler characteristic "
                     f"{red.delta_euler()} is not +-det {report.det}")
-            if red.q_euler() != res.jones.poly:
+            if red.q_euler() != res.jones:
                 raise RuntimeError(
                     f"reduced {fld.name} q-graded Euler characteristic "
                     f"{red.q_euler().serialize()} is not the Jones "
@@ -211,7 +211,7 @@ def scan(diagrams, fields=DEFAULT_FIELDS, jobs: int = 1,
         return [run(d) for d in diagrams]
     import multiprocessing as mp
 
-    with mp.Pool(jobs) as pool:
+    with mp.Pool(min(jobs, len(diagrams))) as pool:
         return pool.map(run, diagrams)
 
 

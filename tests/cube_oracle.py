@@ -38,8 +38,9 @@ def _circles(d: Diagram, state: int):
         else:
             union(a, b), union(c, dd)
     groups: dict = {}
-    for e in d.successor:
-        groups.setdefault(find(e), []).append(e)
+    for comp in d.components:
+        for e in comp:
+            groups.setdefault(find(e), []).append(e)
     return [frozenset(g) for g in sorted(groups.values(), key=min)]
 
 
@@ -172,7 +173,7 @@ class CubeComplex:
 
 def kh_table(d: Diagram, p: int, reduced: bool):
     """Bigraded ranks by plain rank-nullity over the field."""
-    cube = CubeComplex(d, p, reduced_edge=min(d.successor) if reduced else None)
+    cube = CubeComplex(d, p, reduced_edge=d.components[0][0] if reduced else None)
     diff = cube.differential()
     by_grading: dict = {}
     for i, (s, lab) in enumerate(cube.basis):
@@ -230,7 +231,7 @@ def _rank(mat, p):
 def deformed_factors(d: Diagram, p: int):
     """(free_rank, sorted torsion X-powers) of the A[X]-module, via the
     general Smith normal form routine on the one-variable presentation."""
-    cube = CubeComplex(d, p, deformed=True, reduced_edge=min(d.successor))
+    cube = CubeComplex(d, p, deformed=True, reduced_edge=d.components[0][0])
     diff = cube.differential()
     by_h: dict = {}
     for i, (s, lab) in enumerate(cube.basis):

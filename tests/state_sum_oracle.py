@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from knotrank.algebra import LaurentPolynomial
 from knotrank.diagram import Diagram
-from knotrank.jones import _DELTA_A, JonesPolynomial, _normalize
+from knotrank.jones import _DELTA_A, _normalize
 
 
 def kauffman_bracket_state_sum(d: Diagram) -> LaurentPolynomial:
@@ -17,7 +17,7 @@ def kauffman_bracket_state_sum(d: Diagram) -> LaurentPolynomial:
     n = len(d.crossings)
     if n > 16:
         raise ValueError("state-sum oracle limited to 16 crossings")
-    total = LaurentPolynomial.zero()
+    total = LaurentPolynomial()
     for bits in range(1 << n):
         parent: dict = {}
 
@@ -44,13 +44,13 @@ def kauffman_bracket_state_sum(d: Diagram) -> LaurentPolynomial:
                 exp += 1
                 circles += union(a, b) + union(c, dd)
         # circle count: each union that closes a loop adds one
-        term = LaurentPolynomial.monomial(1, exp)
+        term = LaurentPolynomial({exp: 1})
         for _ in range(circles + d.extra_components):
             term = term * _DELTA_A
         total = total + term
     return total
 
 
-def jones_state_sum(d: Diagram) -> JonesPolynomial:
+def jones_state_sum(d: Diagram) -> LaurentPolynomial:
     """Oracle variant of :func:`knotrank.jones.jones` (exponential time)."""
-    return JonesPolynomial(_normalize(kauffman_bracket_state_sum(d), d.writhe), d.writhe)
+    return _normalize(kauffman_bracket_state_sum(d), d.writhe)

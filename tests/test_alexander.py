@@ -7,7 +7,7 @@ from knotrank.algebra import LaurentPolynomial
 from knotrank.alexander import alexander_polynomial, conway_potential
 from knotrank.corpus import RIBBON_NAMES, load_corpus
 from knotrank.diagram import connected_sum, mirror, parse_diagram_file
-from knotrank.jones import det_from_jones
+from knotrank.jones import det_from_jones, jones
 from knotrank.khovanov import ResourceLimit
 from knotrank.scanner import compute_report
 
@@ -83,7 +83,7 @@ def test_signed_determinants(corpus):
 def test_det_agreement_with_jones(corpus):
     for name, d in corpus.items():
         if d.is_knot:
-            assert abs(signed_det(d)) == det_from_jones(d), name
+            assert abs(signed_det(d)) == det_from_jones(jones(d)), name
 
 
 def test_connected_sum_multiplicativity(corpus):

@@ -1,13 +1,13 @@
 import pytest
 
+from diagram_ops import crossing_change, disjoint_union, oriented_resolution
 from knotrank.algebra import LaurentPolynomial, mod_2_t4
 from knotrank.alexander import alexander_polynomial
 from knotrank.arf import (arf, arf_from_alexander, arf_from_jones,
                           arf_from_jones_at_i, arf_from_levine)
 from knotrank.corpus import load_corpus
-from knotrank.diagram import (Diagram, crossing_change, disjoint_union,
-                              oriented_resolution)
-from knotrank.jones import JonesPolynomial, jones
+from knotrank.diagram import Diagram
+from knotrank.jones import jones
 from knotrank.symunion import symmetric_union
 
 # cosets of the unit classes in F2[t]/(1+t^4): squares-of-units times (1+t)
@@ -16,9 +16,9 @@ _LK0_CLASSES = {0b0011, 0b1100}   # 1+t, t^2+t^3
 _LK1_CLASSES = {0b0101, 0b1010}   # 1+t^2, t+t^3
 
 
-def link_class_from_jones(v: JonesPolynomial) -> int:
+def link_class_from_jones(v: LaurentPolynomial) -> int:
     """Linking number mod 2 of a 2-component link from t^(1/2) V(t)."""
-    shifted = v.poly.shift(1)  # multiply by q = t^(1/2)
+    shifted = v.shift(1)  # multiply by q = t^(1/2)
     cls = mod_2_t4(shifted.q_to_t())
     if cls in _LK0_CLASSES:
         return 0
@@ -27,10 +27,10 @@ def link_class_from_jones(v: JonesPolynomial) -> int:
     raise ValueError(f"t^(1/2) V reduces to {cls:#06b}, outside both linking cosets")
 
 
-def arf_from_jones_coeffs(v: JonesPolynomial) -> int:
+def arf_from_jones_coeffs(v: LaurentPolynomial) -> int:
     """Sum of the Jones coefficients c_i over i = 1 mod 4, taken mod 2;
     checked against the matching sum over i = -1 mod 4."""
-    c = v.poly.q_to_t().coeffs
+    c = v.q_to_t().coeffs
     s1 = sum(cv for e, cv in c.items() if e % 4 == 1) % 2
     s3 = sum(cv for e, cv in c.items() if e % 4 == 3) % 2
     if s1 != s3:
@@ -51,7 +51,7 @@ def linking_number(d: Diagram) -> int:
     total = 0
     for ci, (a, b, c, dd) in enumerate(d.crossings):
         comp_under = comp_of[a]
-        comp_over = comp_of[d.over_in[ci]]
+        comp_over = comp_of[d.over_pair(ci)[0]]
         if comp_under != comp_over:
             total += d.signs[ci]
     assert total % 2 == 0

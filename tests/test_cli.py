@@ -1,4 +1,5 @@
 import csv
+import importlib
 import json
 import time
 
@@ -25,6 +26,23 @@ def test_jones_command(small_file, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[1].startswith("3_1\t-1*q^-8+1*q^-6+1*q^-2\t3\t-1")
     assert lines[3].split("\t")[3] == "0"    # Hopf: V(i) = 0
+
+
+def test_jones_command_contracts_each_knot_once(small_file, capsys, monkeypatch):
+    # the determinant column is read from the row's Jones polynomial
+    calls = []
+
+    def counted(d, order=None):
+        calls.append(d.name)
+        return bracket(d, order)
+
+    # ``knotrank.jones`` is the function, so the module comes from importlib
+    jones = importlib.import_module("knotrank.jones")
+    bracket = jones.kauffman_bracket
+    monkeypatch.setattr(jones, "kauffman_bracket", counted)
+    assert main(["jones", small_file]) == 0
+    assert calls == ["unknot", "3_1", "6_1", "hopf"]
+    assert capsys.readouterr().out.splitlines()[1].split("\t")[2] == "3"
 
 
 def test_alexander_command(small_file, capsys):

@@ -1,10 +1,10 @@
 import pytest
 
+from diagram_ops import crossing_change, disjoint_union, oriented_resolution
 from knotrank.algebra import LaurentPolynomial, zeta8_to_iroot2
 from knotrank.corpus import load_corpus
-from knotrank.diagram import (crossing_change, disjoint_union, mirror,
-                              oriented_resolution, parse_pd)
-from knotrank.jones import JonesPolynomial, det_from_jones, jones, kauffman_bracket
+from knotrank.diagram import mirror, parse_pd
+from knotrank.jones import det_from_jones, jones, kauffman_bracket
 from state_sum_oracle import jones_state_sum, kauffman_bracket_state_sum
 
 
@@ -16,16 +16,16 @@ def corpus():
 def jones_at_i(d) -> tuple:
     """V_L(i) as an exact element of Z[i, sqrt2] in the basis
     (1, i, sqrt2, i*sqrt2)."""
-    return zeta8_to_iroot2(jones(d).poly.evaluate_zeta8(1))
+    return zeta8_to_iroot2(jones(d).evaluate_zeta8(1))
 
 
 def V(d):
-    return jones(d).poly
+    return jones(d)
 
 
-def q_parity(v: JonesPolynomial) -> int:
+def q_parity(v: LaurentPolynomial) -> int:
     """The parity shared by every q-exponent of ``v``."""
-    parities = {e % 2 for e in v.poly.coeffs}
+    parities = {e % 2 for e in v.coeffs}
     if len(parities) > 1:
         raise ValueError("mixed q-exponent parity")
     return parities.pop() if parities else 0
@@ -43,7 +43,7 @@ def test_frozen_values(corpus):
 def test_oracle_agreement(corpus):
     for name, d in corpus.items():
         if len(d.crossings) <= 12:
-            assert V(d) == jones_state_sum(d).poly, name
+            assert V(d) == jones_state_sum(d), name
     assert kauffman_bracket(corpus["3_1"]) == kauffman_bracket_state_sum(corpus["3_1"])
 
 
@@ -92,10 +92,14 @@ def test_exponent_parity_matches_components(corpus):
 def test_determinants(corpus):
     expected = {"unknot": 1, "3_1": 3, "4_1": 5, "5_1": 5, "6_1": 9, "6_2": 11}
     for name, det in expected.items():
-        assert det_from_jones(corpus[name]) == det, name
-    assert det_from_jones(mirror(corpus["6_2"])) == 11
+        assert det_from_jones(V(corpus[name])) == det, name
+    assert det_from_jones(V(mirror(corpus["6_2"]))) == 11
     with pytest.raises(ValueError):
-        det_from_jones(corpus["hopf"])
+        det_from_jones(V(corpus["hopf"]))
+    with pytest.raises(ValueError):
+        det_from_jones(V(corpus["unlink2"]))
+    # a split link has determinant 0: V(-1) of the 3-component unlink
+    assert det_from_jones(V(parse_pd("UUU"))) == 0
 
 
 def test_values_at_i(corpus):
@@ -119,7 +123,7 @@ def test_magnitude_at_i_for_proper_links(corpus):
 def test_unknotted_diagram_with_kinks():
     d = parse_pd("[[1,2,2,1]]")
     assert V(d) == LaurentPolynomial.one()
-    assert jones(d).writhe_used in (-1, 1)
+    assert d.writhe in (-1, 1)
 
 
 def test_state_sum_guard():

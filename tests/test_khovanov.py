@@ -13,13 +13,13 @@ import split_complex_oracle
 from compose_oracle import compose_template_glued
 from cube_oracle import (CubeComplex, deformed_factors, kh_table,
                          smith_over_poly_ring)
+from diagram_ops import disjoint_union, oriented_resolution
 from fuse_oracle import fuse_complex
 from knotrank._tangle import scan_order
 from knotrank.algebra import F2, F3, QQ, CoefficientField
 from knotrank.cobordism import MASK_BITS, cycles_of
 from knotrank.corpus import RIBBON_NAMES, load_corpus
-from knotrank.diagram import (connected_sum, disjoint_union, mirror,
-                              oriented_resolution, parse_diagram_file,
+from knotrank.diagram import (connected_sum, mirror, parse_diagram_file,
                               parse_pd)
 from knotrank.jones import jones
 from knotrank.khovanov import (DeformedModule, KnotScan, ResourceLimit,
@@ -107,7 +107,7 @@ def test_delta_euler_equals_determinant(corpus):
 
     for name in SMALL_KNOTS:
         t = khovanov_ranks(corpus[name], QQ)
-        assert abs(t.delta_euler()) == det_from_jones(corpus[name]), name
+        assert abs(t.delta_euler()) == det_from_jones(jones(corpus[name])), name
 
 
 def test_euler_characteristic_is_jones(corpus):
@@ -120,7 +120,7 @@ def test_euler_characteristic_is_jones(corpus):
         acc = {}
         for (h, q), r in t.ranks.items():
             acc[q] = acc.get(q, 0) + (r if h % 2 == 0 else -r)
-        assert LaurentPolynomial(acc) == jones(d).poly, name
+        assert LaurentPolynomial(acc) == jones(d), name
 
 
 def test_positive_trefoil_nonnegative_h(corpus):
@@ -156,7 +156,7 @@ def test_basepoint_independence(corpus):
         last = d.crossings[scan_order(d)[-1]]
         pairs = {tuple(frozenset(t.ranks.items())
                        for t in khovanov_pair(KnotScan(d, basepoint=e), F3))
-                 for e in (min(d.successor), *set(last), None)}
+                 for e in (d.components[0][0], *set(last), None)}
         assert len(pairs) == 1, d.name
     assert [t.ranks for t in khovanov_pair(kinked, F3)] == \
         [{(0, 0): 1}, {(0, 1): 1, (0, -1): 1}]
@@ -170,7 +170,7 @@ def test_default_cut_work(corpus):
     # cycles_of calls); each scan clears the cache when it starts
     d = corpus["18nh_00159590"]
     calls = []
-    for e in (None, min(d.successor)):
+    for e in (None, d.components[0][0]):
         khovanov_ranks(KnotScan(d, basepoint=e), F2)
         info = cycles_of.cache_info()
         calls.append(info.hits + info.misses)

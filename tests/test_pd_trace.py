@@ -1,12 +1,14 @@
 """The label-rule validator against the strand-walking oracle, composed with
 the planarity oracle: both accept and reject the same PD codes, and agree
-on the structure they derive."""
+on the structure they derive.  A :class:`Diagram` keeps only its
+components and signs, so its successor map and over-in edges are derived
+from those two and compared as well."""
 
 import random
 from pathlib import Path
 
 from knotrank.corpus import load_corpus
-from knotrank.diagram import InvalidDiagram, _trace_structure, parse_diagram_file
+from knotrank.diagram import Diagram, InvalidDiagram, parse_diagram_file
 from pd_trace_oracle import trace_structure_walked
 from planarity_oracle import is_planar
 
@@ -19,6 +21,17 @@ def outcome(trace, crossings):
     except InvalidDiagram:
         return None
     return comps, list(succ.items()), over_in, signs
+
+
+def traced(crossings):
+    """(components, successor, over_in, signs) as a diagram derives them
+    from its components and signs: the label rule runs each component up
+    by one, and ``over_pair`` gives the incoming over-strand edge."""
+    d = Diagram(crossings)
+    succ = {e: comp[(k + 1) % len(comp)]
+            for comp in d.components for k, e in enumerate(comp)}
+    over_in = tuple(d.over_pair(i)[0] for i in range(len(crossings)))
+    return d.components, succ, over_in, d.signs
 
 
 def mutated(rng: random.Random, crossings):
@@ -91,7 +104,7 @@ def test_label_rule_matches_strand_walk():
     counts = {"accepted": 0, "label rule": 0, "not planar": 0}
     for crossings in cases:
         want = outcome(trace_walked_planar, crossings)
-        assert outcome(_trace_structure, crossings) == want, crossings
+        assert outcome(traced, crossings) == want, crossings
         if want is not None:
             counts["accepted"] += 1
         elif outcome(trace_structure_walked, crossings) is None:

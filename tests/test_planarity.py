@@ -6,9 +6,9 @@ import random
 
 import pytest
 
+from diagram_ops import disjoint_union
 from knotrank.corpus import load_corpus
-from knotrank.diagram import (Diagram, InvalidDiagram, disjoint_union,
-                              parse_diagram_lines)
+from knotrank.diagram import Diagram, InvalidDiagram, parse_diagram_lines
 from knotrank.scanner import scan
 from pd_trace_oracle import trace_structure_walked
 from planarity_oracle import is_planar

@@ -54,6 +54,22 @@ def test_diagram_is_immutable():
     assert d.writhe == -3 and d.signs == (-1, -1, -1)
 
 
+def test_diagram_fields():
+    # the orientation is held once: successor map and over-in edges follow
+    # from the components and the signs
+    assert set(vars(Diagram(TREFOIL))) == {
+        "crossings", "extra_components", "name", "components", "signs"}
+
+
+def test_package_exports_no_module():
+    for name in knotrank.__all__:
+        assert type(getattr(knotrank, name)) is not type(knotrank), name
+    removed = {"JonesPolynomial", "crossing_change", "oriented_resolution",
+               "disjoint_union"}
+    assert removed.isdisjoint(knotrank.__all__)
+    assert not any(hasattr(knotrank, name) for name in removed)
+
+
 def test_coefficient_field_equality_hash_repr():
     assert CoefficientField(3) == F3 and hash(CoefficientField(3)) == hash(F3)
     assert F2 != F3 and QQ != 0 and F3 != 3

@@ -1,4 +1,5 @@
 import importlib
+import multiprocessing
 from collections import Counter
 
 import pytest
@@ -72,6 +73,32 @@ def test_jobs_parallel_determinism(corpus):
     seq = render_jsonl(scan(ds, fields=("f2",), jobs=1))
     par = render_jsonl(scan(ds, fields=("f2",), jobs=2))
     assert seq == par
+
+
+def test_pool_has_no_more_workers_than_knots(corpus, monkeypatch):
+    # a stand-in pool that records its size and maps serially: no real
+    # worker is started
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(x) for x in items]
+
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    ds = [corpus["3_1"], corpus["4_1"], corpus["unknot"]]
+    seq = render_jsonl(scan(ds, fields=("f2",)))
+    for jobs in (64, 3, 2):
+        assert render_jsonl(scan(ds, fields=("f2",), jobs=jobs)) == seq
+    assert sizes == [3, 3, 2]
 
 
 def test_csv_format(small_reports):

@@ -1,8 +1,9 @@
 from pathlib import Path
 
+from diagram_ops import disjoint_union
 from knotrank._tangle import scan_order
 from knotrank.corpus import load_corpus
-from knotrank.diagram import disjoint_union, mirror, parse_diagram_file
+from knotrank.diagram import mirror, parse_diagram_file
 from scan_order_oracle import scan_order_recounted
 
 POOL_FILE = Path(__file__).resolve().parents[1] / "perfbench" / "symunion_pool.pd"
