@@ -5,6 +5,10 @@ polynomials, five-route Arf computation, reduced/unreduced Khovanov
 homology ranks over Q and prime fields, the A[X] deformation module with
 its X-torsion orders, symmetric-union generators and a batch conjecture
 scanner.
+
+``knotrank.jones`` and ``knotrank.arf`` are functions, bound over their
+submodules by the imports below, so those modules come from
+``importlib.import_module``.
 """
 
 from types import ModuleType as _ModuleType
@@ -17,7 +21,7 @@ from .arf import (ArfResult, arf, arf_from_alexander, arf_from_jones,
 from .corpus import load_corpus
 from .diagram import (Diagram, InvalidDiagram, connected_sum, mirror,
                       parse_diagram_file, parse_diagram_lines, parse_pd)
-from .jones import det_from_jones, jones, kauffman_bracket
+from .jones import det_from_jones, jones
 from .khovanov import (BigradedRanks, DeformedModule, KnotScan, ResourceLimit,
                        deformed_module, khovanov_pair, khovanov_ranks)
 from .scanner import (KnotReport, compute_report, parse_report_jsonl,

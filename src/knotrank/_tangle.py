@@ -1,7 +1,7 @@
 """Shared machinery for one-crossing-at-a-time tangle scans.
 
-Both the Kauffman-bracket contraction and the link-homology engine walk
-the crossings of a diagram in an order chosen to keep the number of open
+Both the Jones contraction and the link-homology engine walk the
+crossings of a diagram in an order chosen to keep the number of open
 boundary edges small, maintaining a state indexed by crossingless
 matchings of the open edges.  This module provides the ordering heuristic
 and the combinatorics of attaching one more crossing to a matching.

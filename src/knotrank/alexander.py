@@ -38,10 +38,10 @@ def _bareiss_det(m: list[list[LaurentPolynomial]],
     only scaled by the pivot) and no zero result is divided (0 / prev = 0)."""
     n = len(m)
     if n == 0:
-        return LaurentPolynomial.one()
+        return LaurentPolynomial({0: 1})
     m = [row[:] for row in m]
     sign = 1
-    prev = LaurentPolynomial.one()
+    prev = LaurentPolynomial({0: 1})
     for k in range(n - 1):
         if deadline is not None and time.monotonic() > deadline:
             raise ResourceLimit("Alexander deadline exceeded")
@@ -104,7 +104,7 @@ def alexander_polynomial(d: Diagram,
         raise ValueError("Alexander polynomial implemented for knots only")
     n = len(d.crossings)
     if n == 0:
-        return LaurentPolynomial.one()
+        return LaurentPolynomial({0: 1})
     arcs = _arcs(d)
     arc_index = {r: i for i, r in enumerate(sorted(set(arcs.values())))}
     rows = _fox_rows(d, arcs, arc_index)
@@ -149,7 +149,7 @@ def conway_potential(delta: LaurentPolynomial) -> ConwayPotential:
     if delta != delta.invert_variable() or delta.evaluate(1) != 1:
         raise ValueError("input is not a Conway-normalized knot polynomial")
     s = LaurentPolynomial({1: 1, 0: -2, -1: 1})
-    powers = [LaurentPolynomial.one()]
+    powers = [LaurentPolynomial({0: 1})]
     for _ in range(delta.max_exp):
         powers.append(powers[-1] * s)
     rest = delta

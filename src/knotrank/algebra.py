@@ -83,12 +83,6 @@ class LaurentPolynomial:
                     clean[int(e)] = c
         self.coeffs = clean
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def one(cls) -> "LaurentPolynomial":
-        return cls({0: 1})
-
     # -- ring structure ----------------------------------------------------
 
     def __bool__(self):

@@ -49,29 +49,29 @@ over A[t].  One integral scan therefore serves every field: each result
 is read from its final complex with the entries reduced mod p, or taken
 in Q.
 
-For a knot the diagram is cut open at a basepoint edge.  The two cut
-halves are boundary points that never close, so from the first scanned
-crossing on the cut edge to the end of the scan every matching carries
-two extra points.  By default the cut is therefore an edge of the last
-crossing of the scan order, where the halves join the boundary only at
-the final step.  The end object is then a single arc whose endomorphisms
-form B = Z[x]/(x^2 - t), which is the polynomial ring Z[X] (X = x,
-t = X^2); every entry of the final complex is a monomial c * X^power.
+Every diagram with crossings is cut open at a basepoint edge, on any of
+its components.  The two cut halves are boundary points that never
+close, so from the first scanned crossing on the cut edge to the end of
+the scan every matching carries two extra points.  By default the cut is
+therefore an edge of the last crossing of the scan order, where the
+halves join the boundary only at the final step.  The end object is then
+a single arc whose endomorphisms form B = Z[x]/(x^2 - t), which is the
+polynomial ring Z[X] (X = x, t = X^2); every entry of the final complex
+is a monomial c * X^power.
 
 Over a field A the final complex is a graded complex of free A[X]
 modules, and one Smith reduction over A[X] splits it into free summands
 and torsion summands A[X]/(X^k) with their gradings.  Every table is
 read from that one splitting:
 
-  * the deformation module: the free rank and the X-torsion orders;
-  * reduced Khovanov homology: the homology of the quotient A[X]/(X),
-    which sets X = 0;
+  * the deformation module of a knot: the free rank and the X-torsion
+    orders;
+  * reduced Khovanov homology of a knot: the homology of the quotient
+    A[X]/(X), which sets X = 0;
   * unreduced homology: the homology of the quotient A[X]/(X^2), which
     sets t = X^2 = 0 and splits each generator into quantum degrees q+1
-    (label 1) and q-1 (label x).
-
-Links are scanned closed (no cut); only unreduced ranks apply there,
-read off at t = 0 from the quotient A[X]/(X) of the closed complex.
+    (label 1) and q-1 (label x); each crossingless component other than
+    the cut one adds an unknotted circle.
 
 :class:`KnotScan` is the scan, and the one place where scan options
 enter: it fixes the crossing order, the cut edge, the generator budget
@@ -167,14 +167,15 @@ class KnotScan:
     :func:`khovanov_pair`, :func:`deformed_module`) take a ``KnotScan`` in
     place of the diagram, so that every field and flavour is read from one
     scan.  ``order`` is the crossing order of the scan, which the Jones
-    contraction can share.  A knot with crossings is cut open at
-    ``basepoint``; a link is scanned closed.  ``max_generators`` (default
-    400,000) bounds the complex right after each crossing is fused in, and
-    ``deadline``, a :func:`time.monotonic` time, is checked before each
-    crossing, at each old row while a crossing is fused in and at each
-    pivot of its elimination, so it stops a scan within a crossing.  A scan
-    that raised :class:`ResourceLimit` is never read: the next read runs it
-    again from the start.
+    contraction can share.  A diagram with crossings is cut open at
+    ``basepoint``, an edge on any component, by default the edge of the
+    order's last crossing that the Jones contraction cuts too.
+    ``max_generators`` (default 400,000) bounds the complex right after
+    each crossing is fused in, and ``deadline``, a :func:`time.monotonic`
+    time, is checked before each crossing, at each old row while a crossing
+    is fused in and at each pivot of its elimination, so it stops a scan
+    within a crossing.  A scan that raised :class:`ResourceLimit` is never
+    read: the next read runs it again from the start.
 
     While the scan runs, a generator's matching is a small int: the id of
     that matching among the distinct matchings of the current step, which
@@ -196,10 +197,10 @@ class KnotScan:
         # default cut, an edge of the order's last crossing, adds them only
         # at the final step
         self.cut_edge = None
-        if d.is_knot and d.crossings:
+        if d.crossings:
             if basepoint is None:
                 basepoint = min(d.crossings[self.order[-1]])
-            elif basepoint not in d.components[0]:
+            elif not any(basepoint in comp for comp in d.components):
                 raise ValueError(f"basepoint edge {basepoint} not in diagram")
             self.cut_edge = basepoint
         self.budget = 400_000 if max_generators is None else max_generators
@@ -634,15 +635,13 @@ def khovanov_ranks(d: Diagram | KnotScan, field: CoefficientField = QQ,
     """
     if not isinstance(d, KnotScan):
         d = KnotScan(d)
-    if d.diagram.is_knot:
-        red, unred = khovanov_pair(d, field)
-        return red if reduced else unred
-    if reduced:
+    if reduced and not d.diagram.is_knot:
         raise ValueError("reduced Khovanov homology requires a knot diagram")
-    table = _quotient(_module(d.final_complex(), field), 1)
-    for _ in range(d.diagram.extra_components):
+    table = _quotient(_module(d.final_complex(), field), 1 if reduced else 2)
+    # a crossingless diagram has no cut: its first unknot is the strand
+    for _ in range(d.diagram.extra_components - (0 if d.diagram.crossings else 1)):
         table = _with_circle(table)
-    return BigradedRanks(table, False, field)
+    return BigradedRanks(table, reduced, field)
 
 
 def khovanov_pair(d: Diagram | KnotScan,
@@ -663,7 +662,7 @@ def khovanov_pair(d: Diagram | KnotScan,
 
 def _entries(scan: KnotScan):
     """(source, target, c, power) for each entry c * X^power of the final
-    complex (X = x, t = X^2; a closed scan has even powers only)."""
+    complex (X = x, t = X^2)."""
     for s, row in scan.out.items():
         for t, entry in row.items():
             assert len(entry) == 1, "inhomogeneous entry in final complex"

@@ -175,12 +175,9 @@ def random_symmetric_union(seed: int, n: int, twists=(1,)) -> Diagram:
     """A seeded ribbon knot: symmetric union of a random <= n crossing seed.
 
     Twists with an even total raise :class:`SymmetricUnionError` at once:
-    every union is then a link, and no seed would do."""
+    every union is then a link, and no seed would do.  Any other
+    :class:`SymmetricUnionError` is a fault of the generator, and is raised
+    rather than retried with another seed."""
     twists = knot_twists(twists)
     rng = random.Random(seed)
-    while True:
-        d = random_diagram(rng.randrange(1 << 30), n)
-        try:
-            return symmetric_union(d, twists)
-        except SymmetricUnionError:
-            continue
+    return symmetric_union(random_diagram(rng.randrange(1 << 30), n), twists)

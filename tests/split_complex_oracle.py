@@ -3,10 +3,10 @@ for :mod:`knotrank.khovanov`, which reads every table from one graded Smith
 form over A[X].
 
 Reduced: set X = 0, keeping the integer entries of power 0, and take the
-rank of each (h, q) block.  Unreduced: tensor the one-arc complex with
-A[x]/(x^2), splitting each generator in two, and take ranks again.  The
-ranks come from a Smith reduction that takes each pivot by a scan of the
-whole matrix.
+rank of each (h, q) block.  Unreduced, for knots and links alike: tensor
+the one-arc complex of the cut with A[x]/(x^2), splitting each generator
+in two, and take ranks again.  The ranks come from a Smith reduction that
+takes each pivot by a scan of the whole matrix.
 """
 
 from __future__ import annotations
@@ -97,33 +97,39 @@ def homology(gradings: dict, entries, field: CoefficientField) -> dict:
     return {k: v for k, v in table.items() if v}
 
 
-def knot_tables(scan: KnotScan, field: CoefficientField) -> tuple[dict, dict]:
-    """(reduced, unreduced) tables over ``field`` of a knot scan.
+def _split(scan: KnotScan) -> tuple[dict, list]:
+    """(gradings, entries) of the one-arc complex tensored with A[x]/(x^2).
 
-    Generator g of the unreduced complex splits into labels 1 (q+1) and
-    x (q-1); an entry c maps each label to the same label, an entry c*x
-    maps label 1 to label x, and t = 0 kills the rest."""
-    gradings = _gradings(scan)
+    Generator g splits into labels 1 (q+1) and x (q-1); an entry c maps
+    each label to the same label, an entry c*x maps label 1 to label x,
+    and t = 0 kills the rest."""
     split = {}
-    for g, (h, q) in gradings.items():
+    for g, (h, q) in _gradings(scan).items():
         split[(g, 1)] = (h, q + 1)
         split[(g, "x")] = (h, q - 1)
-    flat, split_entries = [], []
+    entries = []
     for s, t, c, power in _entries(scan):
         if power == 0:
-            flat.append((s, t, c))
-            split_entries += [((s, 1), (t, 1), c), ((s, "x"), (t, "x"), c)]
+            entries += [((s, 1), (t, 1), c), ((s, "x"), (t, "x"), c)]
         elif power == 1:
-            split_entries.append(((s, 1), (t, "x"), c))
-    return (homology(gradings, flat, field),
-            homology(split, split_entries, field))
+            entries.append(((s, 1), (t, "x"), c))
+    return split, entries
+
+
+def knot_tables(scan: KnotScan, field: CoefficientField) -> tuple[dict, dict]:
+    """(reduced, unreduced) tables over ``field`` of a knot scan: the
+    X = 0 complex and the split complex."""
+    flat = [(s, t, c) for s, t, c, power in _entries(scan) if power == 0]
+    return (homology(_gradings(scan), flat, field),
+            homology(*_split(scan), field))
 
 
 def link_table(scan: KnotScan, field: CoefficientField) -> dict:
-    """Unreduced table over ``field`` of a closed link scan: t = 0, plus
-    an unknotted circle per crossingless component."""
-    table = homology(_gradings(scan), [(s, t, c) for s, t, c, power
-                                       in _entries(scan) if power == 0], field)
-    for _ in range(scan.diagram.extra_components):
+    """Unreduced table over ``field`` of a link scan: the split complex of
+    the cut, plus an unknotted circle per crossingless component other
+    than the cut one (a crossingless diagram's first unknot is the arc)."""
+    table = homology(*_split(scan), field)
+    d = scan.diagram
+    for _ in range(d.extra_components - (0 if d.crossings else 1)):
         table = _with_circle(table)
     return table

@@ -1,15 +1,19 @@
-"""Brute-force Kauffman state sum: an oracle for the bracket contraction.
+"""Brute-force Kauffman state sum: an oracle for the Jones contraction.
 
-Sums over all 2^n Kauffman states, so it is for small diagrams only.
-The Jones variant reuses the writhe normalization of
-:mod:`knotrank.jones`.
+Sums the Kauffman bracket of the closed diagram in the variable A over
+all 2^n states, so it is for small diagrams only.  The Jones variant
+normalizes the bracket by the writhe, divides by the loop value and
+rewrites it in q = A^(-2); it shares none of the cut contraction of
+:mod:`knotrank.jones`, which works in q directly.
 """
 
 from __future__ import annotations
 
 from knotrank.algebra import LaurentPolynomial
 from knotrank.diagram import Diagram
-from knotrank.jones import _DELTA_A, _normalize
+
+# loop value of the bracket: -A^2 - A^{-2}
+_DELTA_A = LaurentPolynomial({2: -1, -2: -1})
 
 
 def kauffman_bracket_state_sum(d: Diagram) -> LaurentPolynomial:
@@ -49,6 +53,20 @@ def kauffman_bracket_state_sum(d: Diagram) -> LaurentPolynomial:
             term = term * _DELTA_A
         total = total + term
     return total
+
+
+def _normalize(bracket: LaurentPolynomial, writhe: int) -> LaurentPolynomial:
+    """(-A)^(-3w) * bracket / delta, rewritten in q = A^(-2)."""
+    signed = bracket.shift(-3 * writhe)
+    if writhe % 2:
+        signed = -signed
+    v_a = signed.exact_div(_DELTA_A)
+    out = {}
+    for e, c in v_a.coeffs.items():
+        if e % 2:
+            raise ValueError("bracket with odd A-exponent after normalization")
+        out[-e // 2] = c
+    return LaurentPolynomial(out)
 
 
 def jones_state_sum(d: Diagram) -> LaurentPolynomial:

@@ -29,19 +29,20 @@ def test_jones_command(small_file, capsys):
 
 
 def test_jones_command_contracts_each_knot_once(small_file, capsys, monkeypatch):
-    # the determinant column is read from the row's Jones polynomial
+    # the determinant column is read from the row's Jones polynomial, so
+    # each knot's crossings are attached once: one CrossingStep apiece
     calls = []
 
-    def counted(d, order=None):
+    def counted(d, *args):
         calls.append(d.name)
-        return bracket(d, order)
+        return step(d, *args)
 
     # ``knotrank.jones`` is the function, so the module comes from importlib
     jones = importlib.import_module("knotrank.jones")
-    bracket = jones.kauffman_bracket
-    monkeypatch.setattr(jones, "kauffman_bracket", counted)
+    step = jones.CrossingStep
+    monkeypatch.setattr(jones, "CrossingStep", counted)
     assert main(["jones", small_file]) == 0
-    assert calls == ["unknot", "3_1", "6_1", "hopf"]
+    assert calls == ["3_1"] * 3 + ["6_1"] * 6 + ["hopf"] * 2
     assert capsys.readouterr().out.splitlines()[1].split("\t")[2] == "3"
 
 

@@ -363,7 +363,7 @@ def test_failed_scan_is_never_read(corpus):
 
 
 def test_closed_scan_torus_link_t24():
-    # the closed integral scan of T(2,4) keeps an entry 2 (the 2-torsion of
+    # the cut integral scan of T(2,4) keeps an entry 2 (the 2-torsion of
     # Kh over Z), which is a unit over Q and vanishes over F2
     t24 = parse_pd("[[6,1,7,2],[8,3,5,4],[2,5,3,6],[4,7,1,8]]")
     assert any(abs(c) > 1 for _, _, c, _ in _entries(KnotScan(t24).final_complex()))
@@ -371,6 +371,25 @@ def test_closed_scan_torus_link_t24():
         t = khovanov_ranks(t24, field, reduced=False)
         assert t.ranks == kh_table(t24, field.char, reduced=False)
         assert t.total == total, field.name
+
+
+def test_link_table_independent_of_cut_component(corpus):
+    # a link is cut like a knot, on whichever component holds the basepoint;
+    # the unreduced table must not depend on that component
+    t24 = parse_pd("[[6,1,7,2],[8,3,5,4],[2,5,3,6],[4,7,1,8]]")
+    for d in (corpus["hopf"], t24,
+              oriented_resolution(corpus["18nh_00159590"], 0)):
+        assert len(d.components) == 2
+        scans = [KnotScan(d)] + [KnotScan(d, basepoint=comp[0])
+                                 for comp in d.components]
+        for field in FIELDS:
+            tables = [khovanov_ranks(scan, field, reduced=False).ranks
+                      for scan in scans]
+            assert tables[1] == tables[0] == tables[2], (d.pd_text(), field)
+            with pytest.raises(ValueError):
+                khovanov_ranks(scans[2], field)
+    with pytest.raises(ValueError):
+        KnotScan(t24, basepoint=t24.edge_count + 1)
 
 
 def test_one_scan_serves_every_field(corpus):

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import knotrank.symunion as symunion
 from knotrank.arf import arf
 from knotrank.corpus import load_corpus
 from knotrank.jones import jones
@@ -91,6 +92,24 @@ def test_random_union_rejects_even_twist_total():
     for twists in ((2,), (1, 1), (1, -3)):
         with pytest.raises(ValueError, match="is even"):
             random_symmetric_union(0, 8, twists)
+
+
+def test_random_union_raises_generator_faults(monkeypatch):
+    # past the twist check, a failed union is a fault of the generator: it
+    # must surface, not be retried with another seed
+    calls = []
+    union = symunion.symmetric_union
+
+    def faulty(d, twists):
+        calls.append(d)
+        if len(calls) == 1:
+            raise SymmetricUnionError("planted fault")
+        return union(d, twists)
+
+    monkeypatch.setattr(symunion, "symmetric_union", faulty)
+    with pytest.raises(SymmetricUnionError, match="planted fault"):
+        random_symmetric_union(0, 8)
+    assert len(calls) == 1
 
 
 def test_random_diagram_rejects_small_n():
