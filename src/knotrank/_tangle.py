@@ -3,8 +3,10 @@
 Both the Jones contraction and the link-homology engine walk the
 crossings of a diagram in an order chosen to keep the number of open
 boundary edges small, maintaining a state indexed by crossingless
-matchings of the open edges.  This module provides the ordering heuristic
-and the combinatorics of attaching one more crossing to a matching.
+matchings of the open edges.  This module provides the ordering heuristic,
+the walk, which cuts the diagram open at one edge and carries the open
+boundary from crossing to crossing, and the combinatorics of attaching
+one more crossing to a matching.
 """
 
 from __future__ import annotations
@@ -12,10 +14,12 @@ from __future__ import annotations
 from .diagram import Diagram
 
 # local smoothing arcs by slot position, counterclockwise from the
-# incoming under-strand: the 0-smoothing joins the regions swept by
-# rotating the over-strand counterclockwise onto the under-strand
-ARCS_0 = ((0, 1), (2, 3))
-ARCS_1 = ((0, 3), (1, 2))
+# incoming under-strand, per smoothing r: the 0-smoothing joins the regions
+# swept by rotating the over-strand counterclockwise onto the under-strand
+SMOOTHINGS = (((0, 1), (2, 3)), ((0, 3), (1, 2)))
+# per smoothing: slot -> (the other slot of its arc, arc index)
+_ACROSS = tuple({s: (t, i) for i, arc in enumerate(arcs) for s, t in (arc, arc[::-1])}
+                for arcs in SMOOTHINGS)
 
 
 def scan_order(d: Diagram) -> list[int]:
@@ -92,6 +96,26 @@ def scan_order(d: Diagram) -> list[int]:
     return best_order
 
 
+def default_cut(d: Diagram, order: list[int]) -> int | None:
+    """The edge a scan in ``order`` cuts open by default: an edge of the
+    order's last crossing, so that the two cut halves, which never close,
+    join the boundary only at the final step.  A crossingless diagram has
+    no cut."""
+    return min(d.crossings[order[-1]]) if order else None
+
+
+def walk(d: Diagram, order: list[int], cut: int | None):
+    """The :class:`CrossingStep` of each crossing of ``order`` in turn, with
+    the diagram cut open at edge ``cut``; each step attaches its crossing to
+    the open boundary that the steps before it leave."""
+    open_points: set = set()
+    for ci in order:
+        step = CrossingStep(d, ci, open_points, cut)
+        yield step
+        open_points.difference_update(step.closes)
+        open_points.update(step.opens)
+
+
 class CrossingStep:
     """Slot bookkeeping for attaching one crossing to a partial tangle.
 
@@ -99,25 +123,20 @@ class CrossingStep:
       ('close', point)  -- the edge is an open boundary point, and closes
       ('new', point)    -- the edge opens a fresh boundary point
       ('pair', j)       -- both ends of the edge sit on this crossing
-    Cut halves of a basepoint edge are renamed to negative point ids and
-    behave like 'new' points that never close.
+    Cut halves of the edge ``cut`` are renamed to negative point ids and
+    behave like 'new' points that never close.  ``closes`` and ``opens``
+    map the closing and the new points to their slots, in slot order.
     """
 
-    def __init__(self, d: Diagram, ci: int, open_points: set,
-                 cut_edge: int | None = None):
+    def __init__(self, d: Diagram, ci: int, open_points: set, cut: int | None):
         tup = d.crossings[ci]
         oin_pos = 3 if d.signs[ci] == 1 else 1
         self.sign = d.signs[ci]
         ids = list(tup)
-        if cut_edge is not None and cut_edge in tup:
-            # tail slot (outgoing) -> -1, head slot (incoming) -> -2
-            for pos, e in enumerate(ids):
-                if e != cut_edge:
-                    continue
-                if pos in (2, 4 - oin_pos):
-                    ids[pos] = -1
-                else:
-                    ids[pos] = -2
+        for pos, e in enumerate(tup):
+            if e == cut:
+                # tail slot (outgoing) -> -1, head slot (incoming) -> -2
+                ids[pos] = -1 if pos in (2, 4 - oin_pos) else -2
         kinds = []
         for pos in range(4):
             e = ids[pos]
@@ -128,20 +147,12 @@ class CrossingStep:
             else:
                 kinds.append(("new", e))
         self.slot_kind = kinds
-
-    def next_points(self, open_points: set) -> set:
-        out = set(open_points)
-        for pos in range(4):
-            kind, v = self.slot_kind[pos]
-            if kind == "close":
-                out.discard(v)
-            elif kind == "new":
-                out.add(v)
-        return out
+        self.closes = {v: pos for pos, (kind, v) in enumerate(kinds) if kind == "close"}
+        self.opens = {v: pos for pos, (kind, v) in enumerate(kinds) if kind == "new"}
 
 
-def merge_matching(matching: tuple, step: CrossingStep, arcs: tuple):
-    """Attach the two local smoothing arcs to a matching.
+def merge_matching(matching: tuple, step: CrossingStep, r: int):
+    """Attach the two local arcs of smoothing ``r`` to a matching.
 
     ``matching`` is a sorted tuple of (p, q) pairs with p < q over the open
     points.  Returns ``(new_matching, circles)``: the sorted pairs joined
@@ -150,7 +161,7 @@ def merge_matching(matching: tuple, step: CrossingStep, arcs: tuple):
     first, in matching order, then loops of local arcs alone, in arc
     order; cap ids, and so generator ids, follow this order.
 
-    A walk crosses the local arc at a slot, and then follows that slot's
+    A strand crosses the local arc at a slot, and then follows that slot's
     edge: a new point ends the strand, a pair edge leads to its other
     slot, and a closing point leads along its old arc to the partner,
     which either stays open (the strand ends there) or closes at a slot.
@@ -159,15 +170,11 @@ def merge_matching(matching: tuple, step: CrossingStep, arcs: tuple):
     for p, q in matching:
         partner[p] = q
         partner[q] = p
-    slot_of = {v: pos for pos, (kind, v) in enumerate(step.slot_kind)
-               if kind == "close"}
-    across = {}     # slot -> (other slot, local arc index)
-    for i, (x, y) in enumerate(arcs):
-        across[x] = (y, i)
-        across[y] = (x, i)
-    used = [False] * len(arcs)
+    slot_of = step.closes
+    across = _ACROSS[r]     # slot -> (other slot, local arc index)
+    used = [False, False]
 
-    def walk(pos):
+    def follow(pos):
         # the open point the strand from slot pos ends on, or None when
         # it runs back into an arc it crossed: a loop
         while True:
@@ -188,22 +195,22 @@ def merge_matching(matching: tuple, step: CrossingStep, arcs: tuple):
 
     new_pairs = []
     ended = set()
-    for pos, (kind, v) in enumerate(step.slot_kind):
-        if kind == "new" and v not in ended:
-            end = walk(pos)
+    for v, pos in step.opens.items():
+        if v not in ended:
+            end = follow(pos)
             ended.add(end)
             new_pairs.append((min(v, end), max(v, end)))
     for p, q in matching:
         for a, b in ((p, q), (q, p)):
             if a not in slot_of and a not in ended:
-                end = walk(slot_of[b]) if b in slot_of else b
+                end = follow(slot_of[b]) if b in slot_of else b
                 ended.add(end)
                 new_pairs.append((min(a, end), max(a, end)))
     circles = []
     closing = [slot_of[p] for p, _ in matching if p in slot_of]
-    for pos in closing + [x for x, _ in arcs]:
+    for pos in closing + [x for x, _ in SMOOTHINGS[r]]:
         i = across[pos][1]
         if not used[i]:
             circles.append(i)
-            walk(pos)
+            follow(pos)
     return tuple(sorted(new_pairs)), tuple(circles)

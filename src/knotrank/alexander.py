@@ -102,9 +102,6 @@ def alexander_polynomial(d: Diagram,
     stops at its next pivot column with :class:`.ResourceLimit`."""
     if not d.is_knot:
         raise ValueError("Alexander polynomial implemented for knots only")
-    n = len(d.crossings)
-    if n == 0:
-        return LaurentPolynomial({0: 1})
     arcs = _arcs(d)
     arc_index = {r: i for i, r in enumerate(sorted(set(arcs.values())))}
     rows = _fox_rows(d, arcs, arc_index)

@@ -187,14 +187,14 @@ class LaurentPolynomial:
             return total.numerator
         return total
 
-    def evaluate_zeta8(self, power: int = 1) -> tuple:
-        """Evaluate at zeta_8^power, returning (c0, c1, c2, c3) in Z[zeta_8].
+    def evaluate_zeta8(self) -> tuple:
+        """Evaluate at zeta_8, returning (c0, c1, c2, c3) in Z[zeta_8].
 
         The result represents c0 + c1*z + c2*z^2 + c3*z^3 with z^4 = -1.
         """
         acc = [0, 0, 0, 0]
         for e, c in self.coeffs.items():
-            k = (e * power) % 8
+            k = e % 8
             sign = -1 if k >= 4 else 1
             acc[k % 4] += sign * c
         return tuple(acc)

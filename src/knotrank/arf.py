@@ -94,7 +94,7 @@ def arf(d: Diagram, delta: LaurentPolynomial | None = None,
     routes["alexander_mod"] = arf_from_alexander(delta)
     routes["jones_mod"] = arf_from_jones(v)
     routes["jones_at_i"] = arf_from_jones_at_i(
-        zeta8_to_iroot2(v.evaluate_zeta8(1)))
+        zeta8_to_iroot2(v.evaluate_zeta8()))
     routes["conway_a2"] = conway_potential(delta).a2 % 2
     counts = Counter(routes.values())
     value, _ = counts.most_common(1)[0]

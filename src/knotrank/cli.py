@@ -24,7 +24,7 @@ from .arf import arf
 from .diagram import Diagram, InvalidDiagram, format_diagram_file, parse_diagram_lines
 from .jones import det_from_jones, jones
 from .khovanov import KnotScan, deformed_module, khovanov_ranks
-from .scanner import KNOT_ERRORS, render_csv, render_jsonl, scan
+from .scanner import DEFAULT_FIELDS, KNOT_ERRORS, render_csv, render_jsonl, scan
 from .symunion import knot_twists, random_symmetric_union
 
 
@@ -88,7 +88,7 @@ def _cmd_jones(args) -> int:
     def row(d):
         v = jones(d)
         det = det_from_jones(v) if d.is_knot else ""
-        vi = format_iroot2(v.evaluate_zeta8(1))
+        vi = format_iroot2(v.evaluate_zeta8())
         return f"{d.name}\t{v.serialize()}\t{det}\t{vi}"
     return _rows(args.file, row, "-\t-\t-")
 
@@ -199,7 +199,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("scan", help="batch invariants and conjecture flags")
     p.add_argument("--input", required=True)
-    p.add_argument("--fields", default="f2,f3,f211,q", type=_parsed(_fields))
+    p.add_argument("--fields", default=",".join(DEFAULT_FIELDS), type=_parsed(_fields))
     p.add_argument("--jobs", type=_positive(int), default=1)
     p.add_argument("--out")
     p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")

@@ -22,6 +22,7 @@ back into the normal form by one closed formula per component
 from __future__ import annotations
 
 from functools import lru_cache
+from types import SimpleNamespace
 
 from ._unionfind import UnionFind
 
@@ -32,7 +33,37 @@ MASK_BITS = 24
 # cycles of the union of two matchings
 
 
-@lru_cache(maxsize=None)
+class _StepCache:
+    """A cache read like an ``lru_cache`` whose ``step()`` drops each entry
+    that the ending step neither made nor read.  A scan's open points, and
+    so its matchings, change at every crossing: such an entry of
+    :func:`cycles_of` is dead weight."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.cache_clear()
+
+    def __call__(self, *key):
+        self.calls += 1
+        value = self.now.get(key) or self.before.pop(key, None)
+        if value is None:
+            self.misses += 1
+            value = self.fn(*key)
+        self.now[key] = value
+        return value
+
+    def step(self):
+        self.before, self.now = self.now, {}
+
+    def cache_clear(self):
+        self.now, self.before, self.calls, self.misses = {}, {}, 0, 0
+
+    def cache_info(self):
+        return SimpleNamespace(hits=self.calls - self.misses, misses=self.misses,
+                               currsize=len(self.now) + len(self.before))
+
+
+@_StepCache
 def cycles_of(ma: tuple, mb: tuple):
     """Cycles of the union of two perfect matchings on the same points.
 

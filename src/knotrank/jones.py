@@ -2,9 +2,10 @@
 
 The contraction scans the crossings one at a time, keeping a linear
 combination of crossingless matchings of the open boundary (the order is
-the boundary-minimizing one shared with the homology engine).  Like the
-Khovanov scan, it cuts the diagram open at an edge of the last crossing
-of the order, so the result is a (1,1)-tangle: a scalar times the strand,
+the boundary-minimizing one shared with the homology engine).  It takes
+its crossings from the :func:`._tangle.walk` that the Khovanov scan takes
+too, and the walk owns the cut: by default an edge of the last crossing
+of the order.  So the result is a (1,1)-tangle: a scalar times the strand,
 and that scalar is V.  Nothing is divided.
 
 Values are kept in the variable q = t^(1/2), so that links (whose Jones
@@ -16,7 +17,7 @@ Each smoothing's weight folds in the writhe factor, and a loop weighs
 
 from __future__ import annotations
 
-from ._tangle import ARCS_0, ARCS_1, CrossingStep, merge_matching, scan_order
+from ._tangle import default_cut, merge_matching, scan_order, walk
 from .algebra import LaurentPolynomial
 from .diagram import Diagram
 
@@ -29,33 +30,28 @@ _WEIGHTS = {1: (LaurentPolynomial({1: -1}), LaurentPolynomial({2: -1})),
 
 def jones(d: Diagram, order: list[int] | None = None) -> LaurentPolynomial:
     """The Jones polynomial of an oriented link diagram in q = t^(1/2),
-    normalized so V(unknot) = 1.  The contraction runs in ``order``, by
-    default that of :func:`scan_order`; a crossingless diagram is the
-    strand times one loop per further unknot."""
+    normalized so V(unknot) = 1.  The contraction walks ``order``, by
+    default that of :func:`scan_order`, with the diagram cut open at the
+    walk's default cut; a crossingless diagram has an empty walk and no
+    cut, and its first unknot is the strand."""
     if order is None:
         order = scan_order(d)
-    value = LaurentPolynomial({0: 1})
-    if not order:
-        for _ in range(d.extra_components - 1):
-            value = value * _LOOP
-        return value
-    cut = min(d.crossings[order[-1]])
-    states = {(): value}
-    open_points: set = set()
-    for ci in order:
-        step = CrossingStep(d, ci, open_points, cut)
+    cut = default_cut(d, order)
+    states = {(): LaurentPolynomial({0: 1})}
+    for step in walk(d, order, cut):
         new_states: dict = {}
         for matching, poly in states.items():
-            for arcs, weight in zip((ARCS_0, ARCS_1), _WEIGHTS[step.sign]):
-                nm, circles = merge_matching(matching, step, arcs)
+            for r, weight in enumerate(_WEIGHTS[step.sign]):
+                nm, circles = merge_matching(matching, step, r)
                 for _ in circles:
                     weight = weight * _LOOP
                 new_states[nm] = poly * weight + new_states.get(nm, 0)
         states = new_states
-        open_points = step.next_points(open_points)
-    assert list(states) == [((-2, -1),)], "contraction did not close to a strand"
-    value = states[((-2, -1),)]
-    for _ in range(d.extra_components):
+    [(strand, value)] = states.items()
+    assert strand == (() if cut is None else ((-2, -1),)), \
+        "contraction did not close to a strand"
+    # each unknot other than the strand is a loop
+    for _ in range(d.extra_components - (cut is None)):
         value = value * _LOOP
     return value
 

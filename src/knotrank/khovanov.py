@@ -49,10 +49,11 @@ over A[t].  One integral scan therefore serves every field: each result
 is read from its final complex with the entries reduced mod p, or taken
 in Q.
 
-Every diagram with crossings is cut open at a basepoint edge, on any of
-its components.  The two cut halves are boundary points that never
-close, so from the first scanned crossing on the cut edge to the end of
-the scan every matching carries two extra points.  By default the cut is
+The crossings come from the walk of :mod:`._tangle`, which cuts every
+diagram with crossings open at a basepoint edge, on any of its
+components.  The two cut halves are boundary points that never close,
+so from the first scanned crossing on the cut edge to the end of the
+scan every matching carries two extra points.  The walk's default cut is
 therefore an edge of the last crossing of the scan order, where the
 halves join the boundary only at the final step.  The end object is then
 a single arc whose endomorphisms form B = Z[x]/(x^2 - t), which is the
@@ -89,7 +90,7 @@ from fractions import Fraction
 from functools import cache
 from typing import NamedTuple
 
-from ._tangle import ARCS_0, ARCS_1, CrossingStep, merge_matching, scan_order
+from ._tangle import SMOOTHINGS, CrossingStep, default_cut, merge_matching, scan_order, walk
 from .algebra import QQ, CoefficientField, LaurentPolynomial
 from .cobordism import MASK_BITS, Glue, cycles_of
 from .diagram import Diagram
@@ -167,9 +168,11 @@ class KnotScan:
     :func:`khovanov_pair`, :func:`deformed_module`) take a ``KnotScan`` in
     place of the diagram, so that every field and flavour is read from one
     scan.  ``order`` is the crossing order of the scan, which the Jones
-    contraction can share.  A diagram with crossings is cut open at
-    ``basepoint``, an edge on any component, by default the edge of the
-    order's last crossing that the Jones contraction cuts too.
+    contraction can share.  The scan takes its crossings from the
+    :func:`._tangle.walk` of that order, and the walk owns the cut: it cuts
+    the diagram open at ``basepoint``, an edge on any component, kept as
+    ``cut_edge``, by default the :func:`._tangle.default_cut` that the
+    Jones contraction cuts too (a crossingless diagram has none).
     ``max_generators`` (default 400,000) bounds the complex right after
     each crossing is fused in, and ``deadline``, a :func:`time.monotonic`
     time, is checked before each crossing, at each old row while a crossing
@@ -192,17 +195,11 @@ class KnotScan:
                  max_generators: int | None = None, deadline: float | None = None):
         self.diagram = d
         self.order = scan_order(d)
-        # the cut halves never close, so they add two boundary points from
-        # the first crossing on the cut edge to the end of the scan; the
-        # default cut, an edge of the order's last crossing, adds them only
-        # at the final step
-        self.cut_edge = None
-        if d.crossings:
-            if basepoint is None:
-                basepoint = min(d.crossings[self.order[-1]])
-            elif not any(basepoint in comp for comp in d.components):
-                raise ValueError(f"basepoint edge {basepoint} not in diagram")
-            self.cut_edge = basepoint
+        if basepoint is None:
+            basepoint = default_cut(d, self.order)
+        elif not any(basepoint in comp for comp in d.components):
+            raise ValueError(f"basepoint edge {basepoint} not in diagram")
+        self.cut_edge = basepoint
         self.budget = 400_000 if max_generators is None else max_generators
         self.deadline = deadline
         self.finished = False
@@ -231,10 +228,9 @@ class KnotScan:
         self.composites = 0
         self.modules: dict = {}     # field char -> _module of the final complex
         cycles_of.cache_clear()   # keyed on matchings; keep it per-diagram
-        open_pts: set = set()
-        for ci in self.order:
+        for step in walk(self.diagram, self.order, self.cut_edge):
             self._check_deadline()
-            step = CrossingStep(self.diagram, ci, open_pts, self.cut_edge)
+            cycles_of.step()    # drop the entries the last step did not use
             self._fuse(step)
             size = len(self.gens)
             self.peak_fused = max(self.peak_fused, size)
@@ -242,7 +238,6 @@ class KnotScan:
                 raise ResourceLimit(
                     f"{size} generators exceed the budget of {self.budget}")
             self._eliminate()
-            open_pts = step.next_points(open_pts)
         # the tables are the scan's own: a batch keeps no table per knot
         self.locals.clear()
         self.expansions.clear()
@@ -273,9 +268,6 @@ class KnotScan:
     def _fuse(self, step: CrossingStep):
         shifts = _SHIFTS[step.sign]
         slot_kind = step.slot_kind
-        new_slot = {v: pos for pos, (kind, v) in enumerate(slot_kind)
-                    if kind == "new"}
-        closing = [v for kind, v in slot_kind if kind == "close"]
         old_ms = self.matchings
         old_gens = self.gens
         old_out = self.out
@@ -294,8 +286,8 @@ class KnotScan:
             # each new generator in its ids row
             both = []
             layout = []
-            for arcs, (dh, dq) in zip((ARCS_0, ARCS_1), shifts):
-                nm, circles = merge_matching(old_ms[m], step, arcs)
+            for r, (dh, dq) in enumerate(shifts):
+                nm, circles = merge_matching(old_ms[m], step, r)
                 nm = interned.setdefault(nm, len(interned))
                 both.append((nm, circles, len(layout)))
                 layout += [(nm, dh, dq + len(circles) - 2 * lam.bit_count())
@@ -326,7 +318,7 @@ class KnotScan:
             # and the rest is a local surface whose expansions the scan
             # shares by their component structure.
             pc, _ = cycles_of(old_ms[m1], old_ms[m2])
-            touched = tuple(sorted({pc[v] for v in closing}))
+            touched = tuple(sorted({pc[v] for v in step.closes}))
             local_of = {c: i for i, c in enumerate(touched)}
             k = len(touched)
             by_r1, by_r2 = merged(m1)[0], merged(m2)[0]
@@ -334,7 +326,7 @@ class KnotScan:
             for r1, r2 in smoothings:
                 band = (k, k + 1) if r1 == r2 else (k, k)
                 piece = {}      # slot -> local piece
-                for i, (x, y) in enumerate(ARCS_0 if r1 == 0 else ARCS_1):
+                for i, (x, y) in enumerate(SMOOTHINGS[r1]):
                     piece[x] = piece[y] = band[i]
                 contacts = []
                 for pos, (kind, v) in enumerate(slot_kind):
@@ -353,7 +345,7 @@ class KnotScan:
                     for cyc, p in enumerate(firsts):
                         c = pc.get(p)
                         if c is None:
-                            at = piece[new_slot[p]]
+                            at = piece[step.opens[p]]
                         elif c in local_of:
                             at = local_of[c]
                         else:
@@ -639,7 +631,7 @@ def khovanov_ranks(d: Diagram | KnotScan, field: CoefficientField = QQ,
         raise ValueError("reduced Khovanov homology requires a knot diagram")
     table = _quotient(_module(d.final_complex(), field), 1 if reduced else 2)
     # a crossingless diagram has no cut: its first unknot is the strand
-    for _ in range(d.diagram.extra_components - (0 if d.diagram.crossings else 1)):
+    for _ in range(d.diagram.extra_components - (d.cut_edge is None)):
         table = _with_circle(table)
     return BigradedRanks(table, reduced, field)
 

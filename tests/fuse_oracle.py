@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from knotrank._tangle import ARCS_0, ARCS_1, merge_matching
+from knotrank._tangle import SMOOTHINGS, merge_matching
 from knotrank.cobordism import Glue, cycles_of
 from knotrank.khovanov import _MASK, _SHIFTS, _capdots, _Template
 
@@ -38,8 +38,8 @@ def fuse_complex(old_ms: list, old_gens: dict, old_out: dict, next_gid: int,
     @cache
     def merged(m):
         both = []
-        for arcs in (ARCS_0, ARCS_1):
-            nm, circles = merge_matching(old_ms[m], step, arcs)
+        for r in (0, 1):
+            nm, circles = merge_matching(old_ms[m], step, r)
             both.append((interned.setdefault(nm, len(interned)), circles))
         return both
 
@@ -67,7 +67,7 @@ def fuse_complex(old_ms: list, old_gens: dict, old_out: dict, next_gid: int,
         k = len(touched)
         band = (k, k + 1) if r1 == r2 else (k, k)
         piece = {}
-        for i, (x, y) in enumerate(ARCS_0 if r1 == 0 else ARCS_1):
+        for i, (x, y) in enumerate(SMOOTHINGS[r1]):
             piece[x] = piece[y] = band[i]
         contacts = []
         for pos, (kind, v) in enumerate(slot_kind):

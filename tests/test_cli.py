@@ -1,11 +1,10 @@
 import csv
-import importlib
 import json
 import time
 
 import pytest
 
-from knotrank import cli, parse_report_jsonl
+from knotrank import _tangle, cli, parse_report_jsonl
 from knotrank.cli import main
 from knotrank.corpus import load_corpus
 from knotrank.diagram import format_diagram_file
@@ -37,10 +36,8 @@ def test_jones_command_contracts_each_knot_once(small_file, capsys, monkeypatch)
         calls.append(d.name)
         return step(d, *args)
 
-    # ``knotrank.jones`` is the function, so the module comes from importlib
-    jones = importlib.import_module("knotrank.jones")
-    step = jones.CrossingStep
-    monkeypatch.setattr(jones, "CrossingStep", counted)
+    step = _tangle.CrossingStep
+    monkeypatch.setattr(_tangle, "CrossingStep", counted)
     assert main(["jones", small_file]) == 0
     assert calls == ["3_1"] * 3 + ["6_1"] * 6 + ["hopf"] * 2
     assert capsys.readouterr().out.splitlines()[1].split("\t")[2] == "3"
@@ -159,6 +156,22 @@ def test_scan_malformed_line_is_one_error_record(tmp_path):
     assert records[1]["error"].startswith("InvalidDiagram: ")
     assert "error" not in records[0] and "error" not in records[2]
     assert records[3]["summary"]["aborted"] == 1
+
+
+def test_scan_nonpositive_label_is_one_error_record(tmp_path):
+    # a label that is not positive fails Diagram's own check; the line is
+    # one error record and the next line is still reported
+    path = tmp_path / "two.txt"
+    path.write_text(f"z\t[[0,2,1,1]]\n3_1\t{load_corpus()['3_1'].pd_text}\n")
+    out = tmp_path / "r.jsonl"
+    assert main(["scan", "--input", str(path), "--fields", "f2",
+                 "--out", str(out)]) == 2
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [r.get("name") for r in records[:2]] == ["z", "3_1"]
+    assert records[0]["error"] == \
+        "InvalidDiagram: crossing 0: edge labels must be positive, got 0"
+    assert "error" not in records[1] and records[1]["det"] == 3
+    assert records[2]["summary"]["aborted"] == 1
 
 
 @pytest.mark.parametrize("bad", ("[[1,4,2,5],[3,6,4,1],[5,2,6,\u00b2]]".encode(),

@@ -49,6 +49,16 @@ def test_parse_rejects_malformed():
         parse_pd("[[2,4,1,5],[3,6,4,1],[5,2,6,3]]")  # under-strand backwards
 
 
+def test_constructor_rejects_malformed():
+    # Diagram's own checks: parse_pd rejects these inputs as text first
+    with pytest.raises(InvalidDiagram, match="need at least one component"):
+        Diagram((), 0)
+    with pytest.raises(InvalidDiagram, match="negative component count"):
+        Diagram(((1, 2, 1, 2),), -1)
+    with pytest.raises(InvalidDiagram, match="crossing 0: expected 4 edges, got 3"):
+        Diagram(((1, 2, 3),))
+
+
 def test_components_and_writhe(corpus):
     assert corpus["3_1"].n_components == 1
     assert corpus["hopf"].n_components == 2

@@ -16,7 +16,7 @@ def corpus():
 def jones_at_i(d) -> tuple:
     """V_L(i) as an exact element of Z[i, sqrt2] in the basis
     (1, i, sqrt2, i*sqrt2)."""
-    return zeta8_to_iroot2(jones(d).evaluate_zeta8(1))
+    return zeta8_to_iroot2(jones(d).evaluate_zeta8())
 
 
 def V(d):
@@ -60,7 +60,7 @@ def test_oracle_agreement_on_surgered_diagrams(corpus):
                      for other in ("3_1", "hopf", "unknot")]
     diagrams += [mirror(d) for d in diagrams]
     for d in diagrams:
-        assert V(d) == jones_state_sum(d), d.pd_text()
+        assert V(d) == jones_state_sum(d), d.pd_text
 
 
 def test_skein_relation_all_corpus_crossings(corpus):

@@ -343,6 +343,8 @@ def test_links_unreduced(corpus):
     assert t.total == 4
     with pytest.raises(ValueError):
         khovanov_ranks(hopf, QQ, reduced=True)
+    with pytest.raises(ValueError, match="requires a knot diagram"):
+        khovanov_pair(hopf, QQ)
     unlink = corpus["unlink2"]
     assert khovanov_ranks(unlink, F2, reduced=False).ranks == \
         {(0, -2): 1, (0, 0): 2, (0, 2): 1}
@@ -385,7 +387,7 @@ def test_link_table_independent_of_cut_component(corpus):
         for field in FIELDS:
             tables = [khovanov_ranks(scan, field, reduced=False).ranks
                       for scan in scans]
-            assert tables[1] == tables[0] == tables[2], (d.pd_text(), field)
+            assert tables[1] == tables[0] == tables[2], (d.pd_text, field)
             with pytest.raises(ValueError):
                 khovanov_ranks(scans[2], field)
     with pytest.raises(ValueError):
@@ -651,6 +653,15 @@ def test_final_complex_pinned(corpus, name):
     assert info.hits + info.misses <= calls and info.misses <= misses
 
 
+def test_cycles_of_drops_dead_entries(corpus):
+    # a scan's matchings change at every crossing, so each step drops the
+    # cycles_of entries the step before it did not use; none is asked for
+    # again, so the misses are those of a cache that keeps every entry
+    KnotScan(corpus["19nh_000305767"]).final_complex()
+    info = cycles_of.cache_info()
+    assert (info.misses, info.currsize) == (858, 30)
+
+
 # (generators created, peak fused generators, fused entries, pivots,
 # composites formed) of each scan, taken by counting in the kernel that
 # keyed every cache on matching tuples
@@ -691,15 +702,19 @@ GLUE_BUILDS = {
 
 
 def test_scan_peak_memory(corpus):
-    # each entry value is stored once and never changed, and the old
-    # complex is freed while the next one is fused: the traced peak of this
-    # scan, the corpus's largest, is 1.72 MB on CPython 3.11, alone and in
-    # the full run, with each fuse step's images kept per distinct (pair,
-    # value).  It read 1.64-1.76 MB (moving with the tests run before it)
-    # with the images built per entry, 3.95-4.11 MB with one dict per
-    # entry composed in place, 3.36 MB without the shared values and 1.95
-    # MB with the old complex kept to the end of each fuse.  A first
-    # untraced scan fills the bounded module caches.
+    # each entry value is stored once and never changed, the old complex
+    # is freed while the next one is fused, and cycles_of drops each entry
+    # the last step did not use: the traced peak of this scan, the corpus's
+    # largest, is 1.33 MB on CPython 3.11, alone and in the full run, and
+    # 1.66 MB when a full collection has emptied the interpreter's free
+    # lists first (objects taken from them are not traced).  With every
+    # cycles_of entry of the scan kept it read 1.72 and 1.94 MB, and 1.95
+    # MB in the full run once a collection moved.  Before that it read
+    # 1.64-1.76 MB (moving with the tests run before it) with the images
+    # built per entry, 3.95-4.11 MB with one dict per entry composed in
+    # place, 3.36 MB without the shared values and 1.95 MB with the old
+    # complex kept to the end of each fuse.  A first untraced scan fills
+    # the bounded module caches.
     d = corpus["19nh_000305767"]
     KnotScan(d).final_complex()
     tracemalloc.start()
@@ -723,7 +738,7 @@ def module_caches() -> dict:
     for info in pkgutil.iter_modules(knotrank.__path__):
         module = importlib.import_module(f"knotrank.{info.name}")
         for name, obj in vars(module).items():
-            if hasattr(obj, "cache_info"):
+            if hasattr(obj, "cache_info") and not isinstance(obj, type):
                 sizes[info.name, name] = obj.cache_info().currsize
             elif isinstance(obj, (dict, list, set)) and not name.startswith("__"):
                 sizes[info.name, name] = len(obj)
