@@ -5,8 +5,8 @@ The Wirtinger presentation of the knot group has one generator per arc
 free derivatives of the relations gives the Alexander matrix over
 Z[t, 1/t]; any (n-1)x(n-1) minor determinant is the Alexander polynomial
 up to a unit.  The determinant is computed exactly by fraction-free
-(Bareiss) elimination on the polynomial matrix itself, then normalized
-to the Conway form (symmetric, value 1 at t = 1).
+(Bareiss) elimination on sparse polynomial rows, with no division by a
+unit, then normalized to the Conway form (symmetric, value 1 at t = 1).
 """
 
 from __future__ import annotations
@@ -32,37 +32,39 @@ def _bareiss_det(m: list[list[LaurentPolynomial]],
                  deadline: float | None = None) -> LaurentPolynomial:
     """Fraction-free (Bareiss) determinant over Z[t]: every division is
     exact in the ring.  ``deadline``, a :func:`time.monotonic` time, is
-    checked at each pivot column.  The Fox matrix stays sparse, so
-    ``m[i][k] * m[k][j]`` is formed only when both factors are nonzero (a
-    zero product adds nothing: a row with no entry in the pivot column is
-    only scaled by the pivot) and no zero result is divided (0 / prev = 0)."""
+    checked at each pivot column.  The Fox matrix is sparse, so a row is a
+    dict from column to nonzero entry: a row below the pivot is rebuilt
+    from its entries times the pivot, minus ``a`` times the pivot row's when
+    its pivot-column entry ``a`` is nonzero, and divided by the previous
+    pivot unless that is +-1 (a sign)."""
     n = len(m)
     if n == 0:
         return LaurentPolynomial({0: 1})
-    m = [row[:] for row in m]
-    sign = 1
-    prev = LaurentPolynomial({0: 1})
+    rows = [{j: x for j, x in enumerate(row) if x} for row in m]
+    sign = unit = 1     # unit: the previous pivot if it is +-1, else None
     for k in range(n - 1):
         if deadline is not None and time.monotonic() > deadline:
             raise ResourceLimit("Alexander deadline exceeded")
-        if not m[k][k]:
+        if k not in rows[k]:
             for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
+                if k in rows[i]:
+                    rows[k], rows[i] = rows[i], rows[k]
                     sign = -sign
                     break
             else:
                 return LaurentPolynomial()
-        pivot, pivot_row = m[k][k], m[k]
-        for row in m[k + 1:]:
-            a = row[k]
-            for j in range(k + 1, n):
-                x = row[j] * pivot
-                if a and pivot_row[j]:
-                    x -= a * pivot_row[j]
-                row[j] = x.exact_div(prev) if x else x
+        pivot = rows[k].pop(k)      # rows[k] keeps the entries right of it
+        for i in range(k + 1, n):
+            a = rows[i].get(k)
+            row = {j: x * pivot for j, x in rows[i].items() if j != k}
+            if a:
+                for j, y in rows[k].items():
+                    row[j] = row[j] - a * y if j in row else -(a * y)
+            rows[i] = {j: x if unit == 1 else -x if unit == -1 else x.exact_div(prev)
+                       for j, x in row.items() if x}
         prev = pivot
-    return m[n - 1][n - 1] * sign
+        unit = pivot.coeffs[0] if pivot.coeffs in ({0: 1}, {0: -1}) else None
+    return rows[n - 1].get(n - 1, LaurentPolynomial()) * sign
 
 
 _T = LaurentPolynomial({1: 1})

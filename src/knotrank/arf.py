@@ -78,17 +78,18 @@ def arf_from_jones_at_i(value: tuple) -> int:
 
 
 def arf(d: Diagram, delta: LaurentPolynomial | None = None,
-        order: list[int] | None = None) -> ArfResult:
+        order: list[int] | None = None, deadline: float | None = None) -> ArfResult:
     """All five routes with a consensus value and consistency flag.
 
     ``delta`` is the Alexander polynomial of ``d`` if the caller has it;
     otherwise it is computed here.  ``order`` is the crossing order the
-    Jones contraction runs in, if the caller has one."""
+    Jones contraction runs in, if the caller has one; ``deadline`` goes to
+    Alexander and Jones."""
     if not d.is_knot:
         raise ValueError("Arf invariant computed for knots only")
     if delta is None:
-        delta = alexander_polynomial(d)
-    v = jones(d, order)
+        delta = alexander_polynomial(d, deadline)
+    v = jones(d, order, deadline)
     routes = {}
     routes["levine"] = arf_from_levine(delta.evaluate(-1))
     routes["alexander_mod"] = arf_from_alexander(delta)

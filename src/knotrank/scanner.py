@@ -131,7 +131,7 @@ def compute_report(d: Diagram | InvalidDiagram, fields, with_deformed: bool = Fa
         report.det = abs(report.signed_det)
         # one order for Jones and the one scan, which every field reads
         knot_scan = KnotScan(d, max_generators=max_generators, deadline=deadline)
-        res = arf(d, delta, knot_scan.order)
+        res = arf(d, delta, knot_scan.order, deadline)
         report.arf = res.value
         report.arf_routes = dict(res.routes)
         report.arf_consistent = res.consistent

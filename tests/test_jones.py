@@ -1,10 +1,15 @@
+import importlib
+from pathlib import Path
+
 import pytest
 
 from diagram_ops import crossing_change, disjoint_union, oriented_resolution
 from knotrank.algebra import LaurentPolynomial, zeta8_to_iroot2
 from knotrank.corpus import load_corpus
-from knotrank.diagram import mirror, parse_pd
+from knotrank.diagram import mirror, parse_diagram_file, parse_pd
 from knotrank.jones import det_from_jones, jones
+from knotrank.khovanov import ResourceLimit
+from knotrank.scanner import compute_report
 from state_sum_oracle import jones_state_sum, kauffman_bracket_state_sum
 
 
@@ -44,6 +49,19 @@ def test_oracle_agreement(corpus):
     for name, d in corpus.items():
         if len(d.crossings) <= 12:
             assert V(d) == jones_state_sum(d), name
+
+
+POOL_FILE = Path(__file__).resolve().parents[1] / "perfbench" / "symunion_pool.pd"
+
+
+def test_oracle_agreement_on_pool():
+    # the cut contraction against the closed state sum on the benchmark
+    # pool's symmetric unions of at most 11 crossings
+    knots = [d for d in parse_diagram_file(POOL_FILE.read_text())
+             if len(d.crossings) <= 11]
+    assert len(knots) == 64
+    for d in knots:
+        assert V(d) == jones_state_sum(d), d.name
 
 
 def test_oracle_agreement_on_surgered_diagrams(corpus):
@@ -140,6 +158,35 @@ def test_unknotted_diagram_with_kinks():
     d = parse_pd("[[1,2,2,1]]")
     assert V(d) == LaurentPolynomial({0: 1})
     assert d.writhe in (-1, 1)
+
+
+def test_deadline_stops_the_contraction(corpus, monkeypatch):
+    # a clock that passes the deadline halfway through the walk: Jones stops
+    # before its next step, and the knot's report is one error record.
+    # Without a deadline the clock is never read.  knotrank.jones names the
+    # function, so the module comes from importlib
+    jones_module = importlib.import_module("knotrank.jones")
+    d = corpus["18nh_00159590"]
+    expected = jones(d)
+    steps = len(d.crossings)
+    reads = []
+
+    class Clock:
+        @classmethod
+        def monotonic(cls):
+            reads.append(None)
+            return 1e12 if len(reads) > steps // 2 else 0.0
+
+    monkeypatch.setattr(jones_module, "time", Clock)
+    assert jones(d) == expected and reads == []
+    with pytest.raises(ResourceLimit):
+        jones(d, deadline=1.0)
+    assert len(reads) == steps // 2 + 1
+    reads.clear()
+    report = compute_report(d, ("f2",), timeout=3600)
+    assert report.error == "ResourceLimit: Jones deadline exceeded"
+    assert len(reads) == steps // 2 + 1
+    assert report.det is not None and report.arf is None
 
 
 def test_state_sum_guard():

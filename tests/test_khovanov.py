@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import importlib
 import pkgutil
@@ -705,9 +706,11 @@ def test_scan_peak_memory(corpus):
     # each entry value is stored once and never changed, the old complex
     # is freed while the next one is fused, and cycles_of drops each entry
     # the last step did not use: the traced peak of this scan, the corpus's
-    # largest, is 1.33 MB on CPython 3.11, alone and in the full run, and
-    # 1.66 MB when a full collection has emptied the interpreter's free
-    # lists first (objects taken from them are not traced).  With every
+    # largest, is 1.66 MB on CPython 3.11 (1,661,204 bytes alone and after
+    # test_alexander.py, 1,661,140 in the full run).  A full collection
+    # empties the interpreter's free lists first, since objects taken from
+    # them are not traced: without it the reading moved with the tests run
+    # before it (1.33 MB alone, 1.51 MB after test_alexander.py).  With every
     # cycles_of entry of the scan kept it read 1.72 and 1.94 MB, and 1.95
     # MB in the full run once a collection moved.  Before that it read
     # 1.64-1.76 MB (moving with the tests run before it) with the images
@@ -717,6 +720,7 @@ def test_scan_peak_memory(corpus):
     # the bounded module caches.
     d = corpus["19nh_000305767"]
     KnotScan(d).final_complex()
+    gc.collect()
     tracemalloc.start()
     try:
         KnotScan(d).final_complex()
