@@ -5,8 +5,10 @@ The Wirtinger presentation of the knot group has one generator per arc
 free derivatives of the relations gives the Alexander matrix over
 Z[t, 1/t]; any (n-1)x(n-1) minor determinant is the Alexander polynomial
 up to a unit.  The determinant is computed exactly by fraction-free
-(Bareiss) elimination on sparse polynomial rows, with no division by a
-unit, then normalized to the Conway form (symmetric, value 1 at t = 1).
+(Bareiss) elimination on sparse polynomial rows that takes the +-1
+entries as pivots first: every Fox row holds one, and cancelling them
+leaves a small block for the fraction-free steps.  It is then normalized
+to the Conway form (symmetric, value 1 at t = 1).
 """
 
 from __future__ import annotations
@@ -28,43 +30,76 @@ def _arcs(d: Diagram) -> dict:
     return {e: arcs.find(e) for comp in d.components for e in comp}
 
 
+_UNITS = ({0: 1}, {0: -1})     # the coefficients of the pivots +-1
+
+
 def _bareiss_det(m: list[list[LaurentPolynomial]],
                  deadline: float | None = None) -> LaurentPolynomial:
-    """Fraction-free (Bareiss) determinant over Z[t]: every division is
-    exact in the ring.  ``deadline``, a :func:`time.monotonic` time, is
-    checked at each pivot column.  The Fox matrix is sparse, so a row is a
-    dict from column to nonzero entry: a row below the pivot is rebuilt
-    from its entries times the pivot, minus ``a`` times the pivot row's when
-    its pivot-column entry ``a`` is nonzero, and divided by the previous
-    pivot unless that is +-1 (a sign)."""
+    """Fraction-free (Bareiss) determinant over Z[t] with pivoting: every
+    division is exact in the ring.  ``deadline``, a :func:`time.monotonic`
+    time, is checked before each pivot.  The Fox matrix is sparse, so a row
+    is a dict from column to nonzero entry.
+
+    Each pivot is a +-1 constant of the remaining block when one is left
+    (every Fox row holds one), else the first entry of the leftmost free
+    column; the row and column swaps give the sign.  While every pivot so
+    far is a unit, the rows left are the Schur complement of the pivots
+    taken: a row with entry ``a`` in the pivot column subtracts ``a`` /
+    pivot times the pivot row, which forms only the products ``a * y``.
+    From the first pivot that is not a unit on, a row below is rebuilt from
+    its entries times the pivot, minus ``a`` times the pivot row's, and
+    divided by the previous pivot of these steps."""
     n = len(m)
     if n == 0:
         return LaurentPolynomial({0: 1})
     rows = [{j: x for j, x in enumerate(row) if x} for row in m]
-    sign = unit = 1     # unit: the previous pivot if it is +-1, else None
+    cols = list(range(n))       # cols[k:] are the free columns
+    sign = 1
+    prev = None     # the previous pivot, once one is not a unit
     for k in range(n - 1):
         if deadline is not None and time.monotonic() > deadline:
             raise ResourceLimit("Alexander deadline exceeded")
-        if k not in rows[k]:
-            for i in range(k + 1, n):
-                if k in rows[i]:
-                    rows[k], rows[i] = rows[i], rows[k]
-                    sign = -sign
-                    break
-            else:
+        found = next(((i, j) for i in range(k, n) for j, x in rows[i].items()
+                      if x.coeffs in _UNITS), None)
+        if found is None:
+            c = cols[k]
+            found = next(((i, c) for i in range(k, n) if c in rows[i]), None)
+            if found is None:
                 return LaurentPolynomial()
-        pivot = rows[k].pop(k)      # rows[k] keeps the entries right of it
+        r, c = found
+        if r != k:
+            rows[k], rows[r] = rows[r], rows[k]
+            sign = -sign
+        p = cols.index(c, k)
+        if p != k:
+            cols[k], cols[p] = c, cols[k]
+            sign = -sign
+        pivot = rows[k].pop(c)      # rows[k] keeps the entries of free columns
+        if prev is None and pivot.coeffs in _UNITS:
+            u = pivot.coeffs[0]
+            sign *= u
+            for row in rows[k + 1:]:
+                a = row.pop(c, None)
+                if a is None:
+                    continue
+                b = a if u == -1 else -a
+                for j, y in rows[k].items():
+                    x = row[j] + b * y if j in row else b * y
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
+            continue
         for i in range(k + 1, n):
-            a = rows[i].get(k)
-            row = {j: x * pivot for j, x in rows[i].items() if j != k}
+            a = rows[i].pop(c, None)
+            row = {j: x * pivot for j, x in rows[i].items()}
             if a:
                 for j, y in rows[k].items():
                     row[j] = row[j] - a * y if j in row else -(a * y)
-            rows[i] = {j: x if unit == 1 else -x if unit == -1 else x.exact_div(prev)
+            rows[i] = {j: x if prev is None else x.exact_div(prev)
                        for j, x in row.items() if x}
         prev = pivot
-        unit = pivot.coeffs[0] if pivot.coeffs in ({0: 1}, {0: -1}) else None
-    return rows[n - 1].get(n - 1, LaurentPolynomial()) * sign
+    return next(iter(rows[n - 1].values()), LaurentPolynomial()) * sign
 
 
 _T = LaurentPolynomial({1: 1})
@@ -101,7 +136,7 @@ def alexander_polynomial(d: Diagram,
     Every Fox row sums to zero, so the minors that drop one column of
     the first n - 1 rows agree up to sign; the last column is dropped.
     Past ``deadline``, a :func:`time.monotonic` time, the determinant
-    stops at its next pivot column with :class:`.ResourceLimit`."""
+    stops at its next pivot with :class:`.ResourceLimit`."""
     if not d.is_knot:
         raise ValueError("Alexander polynomial implemented for knots only")
     arcs = _arcs(d)

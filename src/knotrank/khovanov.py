@@ -98,7 +98,7 @@ from .diagram import Diagram
 
 class ResourceLimit(RuntimeError):
     """The scan exceeded its generator budget or deadline, or the Alexander
-    determinant its deadline.
+    determinant or the Jones contraction its deadline.
 
     The budget bounds the complex right after each crossing is fused in,
     before Gaussian elimination, which is where the scan's size peaks.

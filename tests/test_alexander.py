@@ -1,3 +1,4 @@
+import random
 from pathlib import Path
 
 import pytest
@@ -185,30 +186,62 @@ def test_matches_integer_oracle(corpus, source):
         assert alexander_polynomial(d) == alexander_by_evaluation(d), d.name
 
 
+def fox_minor(d):
+    """The (n - 1) x (n - 1) Fox minor of ``alexander_polynomial``."""
+    arcs = _arcs(d)
+    arc_index = {r: i for i, r in enumerate(sorted(set(arcs.values())))}
+    return [row[:-1] for row in _fox_rows(d, arcs, arc_index)[:-1]]
+
+
 def test_bareiss_keeps_the_sign():
     # Conway normalization hides the determinant's sign, so the raw Bareiss
     # determinant of each pool knot's Fox minor is checked against the
-    # signed digits of its integer value at t = 2^(2n+2): 28 of these knots
-    # have a previous pivot of -1, which negates the rows below it where
-    # any other pivot divides them
+    # signed digits of its integer value at t = 2^(2n+2): 186 of these knots
+    # take a pivot of -1, which negates the determinant and adds the pivot
+    # row where a pivot of 1 subtracts it, and 101 an odd number of them
     for d in parse_diagram_file(POOL_FILE.read_text()):
-        arcs = _arcs(d)
-        arc_index = {r: i for i, r in enumerate(sorted(set(arcs.values())))}
-        minor = [row[:-1] for row in _fox_rows(d, arcs, arc_index)[:-1]]
+        minor = fox_minor(d)
         base = 1 << (2 * len(d.crossings) + 2)
         value = rational_det([[x.evaluate(base) for x in row] for row in minor])
         assert _bareiss_det(minor).coeffs == signed_digits(value, base), d.name
 
 
-# (exact_div, __mul__) calls of one alexander_polynomial: the rows are
-# sparse, so every product with a zero factor, every division of zero and
-# every division by a unit is skipped (the dense elimination made 3,795 /
-# 7,591 and 1,785 / 3,571 calls, and dense rows that skipped only the
-# products m[i][k] * m[k][j] with a zero factor and the divisions of zero
-# 863 / 3,947 and 585 / 1,947)
+def permutation_sign(p) -> int:
+    inversions = sum(p[i] > p[j] for i in range(len(p)) for j in range(i + 1, len(p)))
+    return -1 if inversions % 2 else 1
+
+
+def test_bareiss_sign_under_any_pivot_position():
+    # the determinant picks its own pivots (the +-1 entries first, in any
+    # free row and column) and takes the sign of its row and column swaps
+    # and of each -1 pivot; a seeded row and column shuffle of each pool
+    # knot's Fox minor moves the units to other positions and multiplies
+    # the determinant by the signs of the two permutations
+    rng = random.Random(1)
+    for d in parse_diagram_file(POOL_FILE.read_text()):
+        minor = fox_minor(d)
+        base = 1 << (2 * len(d.crossings) + 2)
+        value = rational_det([[x.evaluate(base) for x in row] for row in minor])
+        rp, cp = list(range(len(minor))), list(range(len(minor)))
+        rng.shuffle(rp)
+        rng.shuffle(cp)
+        shuffled = [[minor[i][j] for j in cp] for i in rp]
+        sign = permutation_sign(rp) * permutation_sign(cp)
+        assert (_bareiss_det(shuffled) * sign).coeffs == signed_digits(value, base), \
+            d.name
+
+
+# (exact_div, __mul__) calls of one alexander_polynomial: the +-1 pivots
+# come first and each forms only the products of the pivot row with the
+# entries below it, with no division, and the rows are sparse, so every
+# product with a zero factor and every division of zero is skipped (Bareiss
+# on sparse rows with the pivots in column order made 799 / 941 and
+# 535 / 672 calls, the dense elimination 3,795 / 7,591 and 1,785 / 3,571,
+# and dense rows that skipped only the products m[i][k] * m[k][j] with a
+# zero factor and the divisions of zero 863 / 3,947 and 585 / 1,947)
 BAREISS_WORK = {
-    "symunion24": (799, 941),
-    "19nh_000305767": (535, 672),
+    "symunion24": (23, 141),
+    "19nh_000305767": (14, 125),
 }
 
 
