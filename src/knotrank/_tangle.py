@@ -30,7 +30,10 @@ def scan_order(d: Diagram) -> list[int]:
     an open edge, the first unscanned crossing.  Every starting crossing
     is tried; the order with the smallest peak boundary (ties: smallest
     total, then the earlier start) wins.  The running (peak, total) only
-    grows, so a start stops as soon as it reaches the best so far.
+    grows, so a start stops as soon as it reaches the best so far.  The
+    rest of a walk depends only on the set of crossings scanned, so a start
+    also stops on a set where an earlier start's (peak, total) was no
+    higher in either.
     """
     n = len(d.crossings)
     if n == 0:
@@ -53,10 +56,11 @@ def scan_order(d: Diagram) -> list[int]:
         open_slots = [0] * n
         ranked = [set() for _ in range(5)]
         order = []
-        peak = total = 0
+        peak = total = mask = 0
         cur = start
         for _ in range(n):
             done[cur] = True
+            mask |= 1 << cur
             ranked[open_slots[cur]].discard(cur)
             order.append(cur)
             for e, others in ends[cur]:
@@ -77,6 +81,11 @@ def scan_order(d: Diagram) -> list[int]:
             total += len(open_edges)
             if bound is not None and (peak, total) >= bound:
                 return None     # (peak, total) only grows: no better than bound
+            seen = reached.get(mask)
+            if seen is None:
+                reached[mask] = peak, total
+            elif seen[0] <= peak and seen[1] <= total:
+                return None     # an earlier start got here no worse
             # next: most slots on open edges, then smallest index
             for r in (ranked[4], ranked[3], ranked[2], ranked[1]):
                 if r:
@@ -88,6 +97,7 @@ def scan_order(d: Diagram) -> list[int]:
                     break
         return (peak, total), order
 
+    reached = {}    # set of scanned crossings -> the first (peak, total) there
     best_cost, best_order = None, None
     for start in range(n):
         run = simulate(start, best_cost)

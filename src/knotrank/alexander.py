@@ -4,11 +4,15 @@ The Wirtinger presentation of the knot group has one generator per arc
 (maximal over-strand) and one relation per crossing.  Abelianizing the
 free derivatives of the relations gives the Alexander matrix over
 Z[t, 1/t]; any (n-1)x(n-1) minor determinant is the Alexander polynomial
-up to a unit.  The determinant is computed exactly by fraction-free
-(Bareiss) elimination on sparse polynomial rows that takes the +-1
-entries as pivots first: every Fox row holds one, and cancelling them
-leaves a small block for the fraction-free steps.  It is then normalized
-to the Conway form (symmetric, value 1 at t = 1).
+up to a unit.  With n crossings, each entry of the minor has degree at
+most 1 and each row has coefficients of absolute sum at most 4, so its
+determinant, and every minor of it, has degree below n and, expanded over
+permutations, coefficients below 4^n in absolute value.  So the minor is
+evaluated at t = B = 2^(2n+2), its one integer determinant is taken
+exactly by Bareiss elimination that takes the +-1 entries as pivots
+first, and the polynomial is read back from the signed base-B digits of
+that value (each in (-B/2, B/2]).  It is then normalized to the Conway
+form (symmetric, value 1 at t = 1).
 """
 
 from __future__ import annotations
@@ -30,29 +34,27 @@ def _arcs(d: Diagram) -> dict:
     return {e: arcs.find(e) for comp in d.components for e in comp}
 
 
-_UNITS = ({0: 1}, {0: -1})     # the coefficients of the pivots +-1
+def _bareiss_det(rows: list[dict], deadline: float | None = None) -> int:
+    """Fraction-free (Bareiss) determinant of a square integer matrix given
+    as sparse rows, dicts from column to nonzero entry, which it consumes.
+    ``deadline``, a :func:`time.monotonic` time, is checked before each
+    pivot.
 
-
-def _bareiss_det(m: list[list[LaurentPolynomial]],
-                 deadline: float | None = None) -> LaurentPolynomial:
-    """Fraction-free (Bareiss) determinant over Z[t] with pivoting: every
-    division is exact in the ring.  ``deadline``, a :func:`time.monotonic`
-    time, is checked before each pivot.  The Fox matrix is sparse, so a row
-    is a dict from column to nonzero entry.
-
-    Each pivot is a +-1 constant of the remaining block when one is left
-    (every Fox row holds one), else the first entry of the leftmost free
-    column; the row and column swaps give the sign.  While every pivot so
-    far is a unit, the rows left are the Schur complement of the pivots
-    taken: a row with entry ``a`` in the pivot column subtracts ``a`` /
-    pivot times the pivot row, which forms only the products ``a * y``.
-    From the first pivot that is not a unit on, a row below is rebuilt from
-    its entries times the pivot, minus ``a`` times the pivot row's, and
-    divided by the previous pivot of these steps."""
-    n = len(m)
+    Each pivot is the first +-1 entry of the remaining block in row order
+    when one is left (every Fox row holds one), else the first entry of the
+    leftmost free column; the row and column swaps give the sign.  While
+    every pivot so far is a unit, the rows left are the Schur complement of
+    the pivots taken: a row with entry ``a`` in the pivot column subtracts
+    ``a`` / pivot times the pivot row.  From the first pivot that is not a
+    unit on, a row below is rebuilt from its entries times the pivot, minus
+    ``a`` times the pivot row's, and divided exactly (``//``) by the
+    previous pivot of these steps.  On the Fox minor at t = B every entry
+    met is the value of a minor of the polynomial matrix, with coefficients
+    below B/2, so only the constants +-1 evaluate to +-1 and each step is
+    the same elimination over Z[t], evaluated at t = B."""
+    n = len(rows)
     if n == 0:
-        return LaurentPolynomial({0: 1})
-    rows = [{j: x for j, x in enumerate(row) if x} for row in m]
+        return 1
     cols = list(range(n))       # cols[k:] are the free columns
     sign = 1
     prev = None     # the previous pivot, once one is not a unit
@@ -60,12 +62,12 @@ def _bareiss_det(m: list[list[LaurentPolynomial]],
         if deadline is not None and time.monotonic() > deadline:
             raise ResourceLimit("Alexander deadline exceeded")
         found = next(((i, j) for i in range(k, n) for j, x in rows[i].items()
-                      if x.coeffs in _UNITS), None)
+                      if x in (1, -1)), None)
         if found is None:
             c = cols[k]
             found = next(((i, c) for i in range(k, n) if c in rows[i]), None)
             if found is None:
-                return LaurentPolynomial()
+                return 0
         r, c = found
         if r != k:
             rows[k], rows[r] = rows[r], rows[k]
@@ -75,16 +77,15 @@ def _bareiss_det(m: list[list[LaurentPolynomial]],
             cols[k], cols[p] = c, cols[k]
             sign = -sign
         pivot = rows[k].pop(c)      # rows[k] keeps the entries of free columns
-        if prev is None and pivot.coeffs in _UNITS:
-            u = pivot.coeffs[0]
-            sign *= u
+        if prev is None and pivot in (1, -1):
+            sign *= pivot
             for row in rows[k + 1:]:
                 a = row.pop(c, None)
                 if a is None:
                     continue
-                b = a if u == -1 else -a
+                b = a if pivot == -1 else -a
                 for j, y in rows[k].items():
-                    x = row[j] + b * y if j in row else b * y
+                    x = row.get(j, 0) + b * y
                     if x:
                         row[j] = x
                     else:
@@ -95,37 +96,51 @@ def _bareiss_det(m: list[list[LaurentPolynomial]],
             row = {j: x * pivot for j, x in rows[i].items()}
             if a:
                 for j, y in rows[k].items():
-                    row[j] = row[j] - a * y if j in row else -(a * y)
-            rows[i] = {j: x if prev is None else x.exact_div(prev)
+                    row[j] = row.get(j, 0) - a * y
+            rows[i] = {j: x if prev is None else x // prev
                        for j, x in row.items() if x}
         prev = pivot
-    return next(iter(rows[n - 1].values()), LaurentPolynomial()) * sign
+    return sign * next(iter(rows[n - 1].values()), 0)
 
 
-_T = LaurentPolynomial({1: 1})
-_ONE_MINUS_T = LaurentPolynomial({0: 1, 1: -1})
-
-
-def _fox_rows(d: Diagram, arcs: dict, arc_index: dict):
-    """Rows of the Alexander matrix, with entries in Z[t]."""
+def _fox_rows(d: Diagram, base: int) -> list[dict]:
+    """The Fox minor at t = ``base`` as sparse rows: the first n - 1
+    crossings' rows of the Alexander matrix, without the last arc's column,
+    each with its columns in order.  A negative crossing's row is scaled by
+    t to stay polynomial."""
+    arcs = _arcs(d)
+    arc_index = {r: i for i, r in enumerate(sorted(set(arcs.values())))}
+    last = len(arc_index) - 1
     rows = []
-    for ci, (a, b, c, dd) in enumerate(d.crossings):
-        o_in, _ = d.over_pair(ci)
-        row = [LaurentPolynomial()] * len(arc_index)
-        O = arc_index[arcs[o_in]]
-        A = arc_index[arcs[a]]
-        C = arc_index[arcs[c]]
+    for ci, (a, _, c, _) in enumerate(d.crossings[:-1]):
+        o = d.over_pair(ci)[0]
         if d.signs[ci] == 1:
-            row[O] += _ONE_MINUS_T
-            row[A] += _T
-            row[C] += -1
+            terms = ((o, 1 - base), (a, base), (c, -1))
         else:
-            # the relation row scaled by t to stay polynomial
-            row[O] -= _ONE_MINUS_T
-            row[A] += 1
-            row[C] -= _T
-        rows.append(row)
+            terms = ((o, base - 1), (a, 1), (c, -base))
+        row: dict[int, int] = {}
+        for e, x in terms:
+            j = arc_index[arcs[e]]
+            row[j] = row.get(j, 0) + x
+        rows.append({j: row[j] for j in sorted(row) if row[j] and j != last})
     return rows
+
+
+def _signed_digits(value: int, base: int) -> dict[int, int]:
+    """The nonzero digits of ``value`` in the power-of-two base ``base``,
+    each in (-base/2, base/2], by exponent."""
+    shift, mask = base.bit_length() - 1, base - 1
+    digits = {}
+    e = 0
+    while value:
+        x = value & mask
+        if 2 * x > base:
+            x -= base
+        if x:
+            digits[e] = x
+        value = (value - x) >> shift
+        e += 1
+    return digits
 
 
 def alexander_polynomial(d: Diagram,
@@ -139,13 +154,11 @@ def alexander_polynomial(d: Diagram,
     stops at its next pivot with :class:`.ResourceLimit`."""
     if not d.is_knot:
         raise ValueError("Alexander polynomial implemented for knots only")
-    arcs = _arcs(d)
-    arc_index = {r: i for i, r in enumerate(sorted(set(arcs.values())))}
-    rows = _fox_rows(d, arcs, arc_index)
-    p = _bareiss_det([row[:-1] for row in rows[:-1]], deadline)
-    if not p:
+    base = 1 << (2 * len(d.crossings) + 2)
+    value = _bareiss_det(_fox_rows(d, base), deadline)
+    if not value:
         raise ValueError("Wirtinger minor vanishes")
-    return _conway_normalize(p)
+    return _conway_normalize(LaurentPolynomial(_signed_digits(value, base)))
 
 
 def _conway_normalize(p: LaurentPolynomial) -> LaurentPolynomial:

@@ -199,35 +199,6 @@ class LaurentPolynomial:
             acc[k % 4] += sign * c
         return tuple(acc)
 
-    def exact_div(self, divisor: "LaurentPolynomial") -> "LaurentPolynomial":
-        """Exact division over Z; raises ValueError at the first step
-        whose leading remainder the divisor's leading coefficient does not
-        divide, or whose quotient term falls below the lowest possible."""
-        if not divisor:
-            raise ZeroDivisionError("division by zero polynomial")
-        if not self:
-            return LaurentPolynomial()
-        rem = dict(self.coeffs)
-        dmax = divisor.max_exp
-        dlead = divisor.coeffs[dmax]
-        lowest = self.min_exp - divisor.min_exp  # smallest possible quotient exponent
-        out = {}
-        while rem:
-            e = max(rem)
-            exp = e - dmax
-            q, r = divmod(rem[e], dlead)
-            if r or exp < lowest:
-                raise ValueError("inexact polynomial division")
-            out[exp] = q
-            for de, dc in divisor.coeffs.items():
-                k = de + exp
-                s = rem.get(k, 0) - dc * q
-                if s:
-                    rem[k] = s
-                else:
-                    rem.pop(k, None)
-        return LaurentPolynomial(out)
-
     # -- text form -----------------------------------------------------------
 
     def serialize(self, var: str = "q") -> str:

@@ -16,6 +16,36 @@ from knotrank.diagram import Diagram
 _DELTA_A = LaurentPolynomial({2: -1, -2: -1})
 
 
+def exact_div(p: LaurentPolynomial, divisor: LaurentPolynomial) -> LaurentPolynomial:
+    """Exact division over Z; raises ValueError at the first step
+    whose leading remainder the divisor's leading coefficient does not
+    divide, or whose quotient term falls below the lowest possible."""
+    if not divisor:
+        raise ZeroDivisionError("division by zero polynomial")
+    if not p:
+        return LaurentPolynomial()
+    rem = dict(p.coeffs)
+    dmax = divisor.max_exp
+    dlead = divisor.coeffs[dmax]
+    lowest = p.min_exp - divisor.min_exp  # smallest possible quotient exponent
+    out = {}
+    while rem:
+        e = max(rem)
+        exp = e - dmax
+        q, r = divmod(rem[e], dlead)
+        if r or exp < lowest:
+            raise ValueError("inexact polynomial division")
+        out[exp] = q
+        for de, dc in divisor.coeffs.items():
+            k = de + exp
+            s = rem.get(k, 0) - dc * q
+            if s:
+                rem[k] = s
+            else:
+                rem.pop(k, None)
+    return LaurentPolynomial(out)
+
+
 def kauffman_bracket_state_sum(d: Diagram) -> LaurentPolynomial:
     """Independent oracle: sum over all 2^n Kauffman states."""
     n = len(d.crossings)
@@ -60,7 +90,7 @@ def _normalize(bracket: LaurentPolynomial, writhe: int) -> LaurentPolynomial:
     signed = bracket.shift(-3 * writhe)
     if writhe % 2:
         signed = -signed
-    v_a = signed.exact_div(_DELTA_A)
+    v_a = exact_div(signed, _DELTA_A)
     out = {}
     for e, c in v_a.coeffs.items():
         if e % 2:

@@ -1,14 +1,19 @@
+import hashlib
 import random
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from alexander_oracle import alexander_by_evaluation, rational_det, signed_digits
+from alexander_oracle import alexander_by_evaluation, fox_minor_at, rational_det
 from knotrank.algebra import LaurentPolynomial
-from knotrank.alexander import (_arcs, _bareiss_det, _fox_rows, alexander_polynomial,
-                                conway_potential)
+from knotrank.alexander import (_bareiss_det, _fox_rows, _signed_digits,
+                                alexander_polynomial, conway_potential)
+from knotrank.cli import main
 from knotrank.corpus import RIBBON_NAMES, load_corpus
-from knotrank.diagram import connected_sum, mirror, parse_diagram_file
+from knotrank.diagram import (connected_sum, format_diagram_file, mirror,
+                              parse_diagram_file)
 from knotrank.jones import det_from_jones, jones
 from knotrank.khovanov import ResourceLimit
 from knotrank.scanner import compute_report
@@ -175,9 +180,8 @@ POOL_FILE = Path(__file__).resolve().parents[1] / "perfbench" / "symunion_pool.p
 
 @pytest.mark.parametrize("source", ("corpus", "pool"))
 def test_matches_integer_oracle(corpus, source):
-    # the polynomial Bareiss determinant against one integer determinant
-    # read back from its digits; the pool's sparse minors are where most
-    # zero updates are skipped
+    # the sparse integer Bareiss determinant against the oracle's dense Fox
+    # matrix and rational determinant, both read back from their digits
     if source == "corpus":
         knots = [d for d in corpus.values() if d.is_knot]
     else:
@@ -186,24 +190,43 @@ def test_matches_integer_oracle(corpus, source):
         assert alexander_polynomial(d) == alexander_by_evaluation(d), d.name
 
 
-def fox_minor(d):
-    """The (n - 1) x (n - 1) Fox minor of ``alexander_polynomial``."""
-    arcs = _arcs(d)
-    arc_index = {r: i for i, r in enumerate(sorted(set(arcs.values())))}
-    return [row[:-1] for row in _fox_rows(d, arcs, arc_index)[:-1]]
+# sha256 of `knotrank alexander` stdout, generated before the determinant
+# was taken on integers (at the polynomial Bareiss elimination)
+ALEXANDER_STDOUT = {
+    "corpus": "49a71dabcfdcba937462a21802a3554781169fca18607cb48c79f84613c6290b",
+    "pool": "e605b7db2fb647b9bedbf5a8492cc00b4f1fcd33ffde52c85df4205f303b0cd5",
+}
+
+
+@pytest.mark.parametrize("source", sorted(ALEXANDER_STDOUT))
+def test_alexander_stdout_is_pinned(corpus, source, tmp_path, capsys):
+    if source == "corpus":
+        path = tmp_path / "corpus.pd"
+        path.write_text(format_diagram_file(corpus.values()))
+    else:
+        path = POOL_FILE
+    assert main(["alexander", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == ALEXANDER_STDOUT[source]
+
+
+def sparse(m: list[list[int]]) -> list[dict]:
+    return [{j: x for j, x in enumerate(row) if x} for row in m]
 
 
 def test_bareiss_keeps_the_sign():
-    # Conway normalization hides the determinant's sign, so the raw Bareiss
-    # determinant of each pool knot's Fox minor is checked against the
-    # signed digits of its integer value at t = 2^(2n+2): 186 of these knots
-    # take a pivot of -1, which negates the determinant and adds the pivot
-    # row where a pivot of 1 subtracts it, and 101 an odd number of them
+    # Conway normalization hides the determinant's sign, so the integer
+    # Bareiss determinant of each pool knot's Fox minor at t = 2^(2n+2) is
+    # checked against the rational determinant of the oracle's own dense
+    # minor, which must hold the same entries: 186 of these knots take a
+    # pivot of -1, which negates the determinant and adds the pivot row
+    # where a pivot of 1 subtracts it, and 101 an odd number of them
     for d in parse_diagram_file(POOL_FILE.read_text()):
-        minor = fox_minor(d)
         base = 1 << (2 * len(d.crossings) + 2)
-        value = rational_det([[x.evaluate(base) for x in row] for row in minor])
-        assert _bareiss_det(minor).coeffs == signed_digits(value, base), d.name
+        dense = fox_minor_at(d, base)
+        rows = _fox_rows(d, base)
+        assert rows == sparse(dense), d.name
+        assert _bareiss_det(rows) == rational_det(dense), d.name
 
 
 def permutation_sign(p) -> int:
@@ -219,45 +242,61 @@ def test_bareiss_sign_under_any_pivot_position():
     # the determinant by the signs of the two permutations
     rng = random.Random(1)
     for d in parse_diagram_file(POOL_FILE.read_text()):
-        minor = fox_minor(d)
-        base = 1 << (2 * len(d.crossings) + 2)
-        value = rational_det([[x.evaluate(base) for x in row] for row in minor])
+        minor = fox_minor_at(d, 1 << (2 * len(d.crossings) + 2))
         rp, cp = list(range(len(minor))), list(range(len(minor)))
         rng.shuffle(rp)
         rng.shuffle(cp)
         shuffled = [[minor[i][j] for j in cp] for i in rp]
         sign = permutation_sign(rp) * permutation_sign(cp)
-        assert (_bareiss_det(shuffled) * sign).coeffs == signed_digits(value, base), \
-            d.name
+        assert _bareiss_det(sparse(shuffled)) * sign == rational_det(minor), d.name
 
 
-# (exact_div, __mul__) calls of one alexander_polynomial: the +-1 pivots
-# come first and each forms only the products of the pivot row with the
-# entries below it, with no division, and the rows are sparse, so every
-# product with a zero factor and every division of zero is skipped (Bareiss
-# on sparse rows with the pivots in column order made 799 / 941 and
-# 535 / 672 calls, the dense elimination 3,795 / 7,591 and 1,785 / 3,571,
-# and dense rows that skipped only the products m[i][k] * m[k][j] with a
-# zero factor and the divisions of zero 863 / 3,947 and 585 / 1,947)
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.integers(1, 30).flatmap(lambda n: st.lists(
+    st.one_of(st.just(0), st.integers(-4 ** (n - 1), 4 ** (n - 1))),
+    min_size=n, max_size=n)))
+@example([0])
+@example([0, 3, 0, -5, 0])
+@example([-(4 ** 29)] + [0] * 28 + [-(4 ** 29)])
+@example([4 ** 29, 0, -1] + [0] * 26 + [-(4 ** 29)])
+def test_signed_digits_at_the_bound(coeffs):
+    # a polynomial of degree < n with coefficients at most 4^(n-1) in
+    # absolute value, the bound on the Fox minor's determinant and every
+    # minor of it, comes back from its value at t = 2^(2n+2) unchanged
+    base = 1 << (2 * len(coeffs) + 2)
+    value = sum(c * base ** e for e, c in enumerate(coeffs))
+    assert _signed_digits(value, base) == {e: c for e, c in enumerate(coeffs) if c}
+
+
+# (LaurentPolynomial constructions, __mul__ calls) of one
+# alexander_polynomial: the determinant runs on ints, so the only
+# polynomials are the one read from its digits, its centred shift, the
+# inversion that checks its symmetry and, for symunion24, its negation to
+# value 1 at t = 1.  The polynomial Bareiss determinant made 23 / 141 and
+# 14 / 125 (exact_div, __mul__) calls with the +-1 pivots first, Bareiss on
+# sparse rows with the pivots in column order 799 / 941 and 535 / 672, the
+# dense elimination 3,795 / 7,591 and 1,785 / 3,571, and dense rows that
+# skipped only the products m[i][k] * m[k][j] with a zero factor and the
+# divisions of zero 863 / 3,947 and 585 / 1,947
 BAREISS_WORK = {
-    "symunion24": (23, 141),
-    "19nh_000305767": (14, 125),
+    "symunion24": (4, 0),
+    "19nh_000305767": (3, 0),
 }
 
 
 @pytest.mark.parametrize("name", sorted(BAREISS_WORK))
 def test_bareiss_skips_zero_work(corpus, monkeypatch, name):
-    calls = {"exact_div": 0, "__mul__": 0}
+    calls = {"__init__": 0, "__mul__": 0}
 
     def counted(method):
         original = getattr(LaurentPolynomial, method)
 
-        def wrapper(self, other):
+        def wrapper(self, *args):
             calls[method] += 1
-            return original(self, other)
+            return original(self, *args)
         monkeypatch.setattr(LaurentPolynomial, method, wrapper)
 
-    counted("exact_div")
+    counted("__init__")
     counted("__mul__")
     alexander_polynomial(corpus[name])
-    assert (calls["exact_div"], calls["__mul__"]) == BAREISS_WORK[name]
+    assert (calls["__init__"], calls["__mul__"]) == BAREISS_WORK[name]
