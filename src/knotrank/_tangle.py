@@ -26,8 +26,8 @@ def scan_order(d: Diagram) -> list[int]:
     """Order the crossings greedily so the open boundary stays small.
 
     After each crossing the next one is the unscanned crossing with the
-    most slots on open edges (ties: smallest index), or, when none touches
-    an open edge, the first unscanned crossing.  Every starting crossing
+    most slots on open edges, the smallest index among ties (so the first
+    unscanned one when none touches an open edge).  Every starting crossing
     is tried; the order with the smallest peak boundary (ties: smallest
     total, then the earlier start) wins.  The running (peak, total) only
     grows, so a start stops as soon as it reaches the best so far.  The
@@ -42,41 +42,30 @@ def scan_order(d: Diagram) -> list[int]:
     for ci, tup in enumerate(d.crossings):
         for e in tup:
             incident.setdefault(e, []).append(ci)
-    # per crossing: each edge with one end there, and the crossings at its
+    # per crossing: each edge with one end there, and the crossing at its
     # other end (an edge with both ends at one crossing never opens)
-    ends = [[(e, [cj for cj in incident[e] if cj != ci])
+    ends = [[(e, next(cj for cj in incident[e] if cj != ci))
              for e in set(tup) if tup.count(e) == 1]
             for ci, tup in enumerate(d.crossings)]
 
     def simulate(start: int, bound):
         open_edges: set[int] = set()
-        done = [False] * n
-        # open_slots[cj]: slots of cj on open edges; ranked[k]: the
-        # unscanned crossings with k >= 1 such slots
-        open_slots = [0] * n
-        ranked = [set() for _ in range(5)]
+        open_slots = [0] * n    # per crossing: its slots on open edges
+        unscanned = list(range(n))
         order = []
         peak = total = mask = 0
         cur = start
-        for _ in range(n):
-            done[cur] = True
+        while True:
+            unscanned.remove(cur)
             mask |= 1 << cur
-            ranked[open_slots[cur]].discard(cur)
             order.append(cur)
-            for e, others in ends[cur]:
+            for e, cj in ends[cur]:
                 if e in open_edges:
                     open_edges.remove(e)
-                    delta = -1
+                    open_slots[cj] -= 1
                 else:
                     open_edges.add(e)
-                    delta = 1
-                for cj in others:
-                    if not done[cj]:
-                        k = open_slots[cj]
-                        ranked[k].discard(cj)
-                        open_slots[cj] = k = k + delta
-                        if k:
-                            ranked[k].add(cj)
+                    open_slots[cj] += 1
             peak = max(peak, len(open_edges))
             total += len(open_edges)
             if bound is not None and (peak, total) >= bound:
@@ -86,16 +75,10 @@ def scan_order(d: Diagram) -> list[int]:
                 reached[mask] = peak, total
             elif seen[0] <= peak and seen[1] <= total:
                 return None     # an earlier start got here no worse
+            if not unscanned:
+                return (peak, total), order
             # next: most slots on open edges, then smallest index
-            for r in (ranked[4], ranked[3], ranked[2], ranked[1]):
-                if r:
-                    cur = min(r)
-                    break
-            else:
-                cur = next((cj for cj in range(n) if not done[cj]), None)
-                if cur is None:
-                    break
-        return (peak, total), order
+            cur = max(unscanned, key=open_slots.__getitem__)
 
     reached = {}    # set of scanned crossings -> the first (peak, total) there
     best_cost, best_order = None, None

@@ -9,7 +9,7 @@ most 1 and each row has coefficients of absolute sum at most 4, so its
 determinant, and every minor of it, has degree below n and, expanded over
 permutations, coefficients below 4^n in absolute value.  So the minor is
 evaluated at t = B = 2^(2n+2), its one integer determinant is taken
-exactly by Bareiss elimination that takes the +-1 entries as pivots
+exactly by one Bareiss elimination that takes the +-1 entries as pivots
 first, and the polynomial is read back from the signed base-B digits of
 that value (each in (-B/2, B/2]).  It is then normalized to the Conway
 form (symmetric, value 1 at t = 1).
@@ -42,23 +42,21 @@ def _bareiss_det(rows: list[dict], deadline: float | None = None) -> int:
 
     Each pivot is the first +-1 entry of the remaining block in row order
     when one is left (every Fox row holds one), else the first entry of the
-    leftmost free column; the row and column swaps give the sign.  While
-    every pivot so far is a unit, the rows left are the Schur complement of
-    the pivots taken: a row with entry ``a`` in the pivot column subtracts
-    ``a`` / pivot times the pivot row.  From the first pivot that is not a
-    unit on, a row below is rebuilt from its entries times the pivot, minus
-    ``a`` times the pivot row's, and divided exactly (``//``) by the
-    previous pivot of these steps.  On the Fox minor at t = B every entry
-    met is the value of a minor of the polynomial matrix, with coefficients
-    below B/2, so only the constants +-1 evaluate to +-1 and each step is
-    the same elimination over Z[t], evaluated at t = B."""
+    leftmost free column; the row and column swaps give the sign, and a
+    negative pivot's row is negated, which flips it.  Each row below, with
+    entry ``a`` in the pivot column, becomes its entries times the pivot
+    minus ``a`` times the pivot row's, divided exactly by the previous
+    pivot (1 before the first): a pivot of 1 after a pivot of 1 only
+    subtracts ``a`` times its row, and a row with no entry in the pivot
+    column stays as it is when the pivot equals the previous one.  The last
+    pivot, times the sign, is the determinant.  On the Fox minor at t = B
+    every entry met is the value of a minor of the polynomial matrix, with
+    coefficients below B/2, so only the constants +-1 evaluate to +-1 and
+    each step is the same elimination over Z[t], evaluated at t = B."""
     n = len(rows)
-    if n == 0:
-        return 1
     cols = list(range(n))       # cols[k:] are the free columns
-    sign = 1
-    prev = None     # the previous pivot, once one is not a unit
-    for k in range(n - 1):
+    sign = prev = 1
+    for k in range(n):
         if deadline is not None and time.monotonic() > deadline:
             raise ResourceLimit("Alexander deadline exceeded")
         found = next(((i, j) for i in range(k, n) for j, x in rows[i].items()
@@ -76,31 +74,30 @@ def _bareiss_det(rows: list[dict], deadline: float | None = None) -> int:
         if p != k:
             cols[k], cols[p] = c, cols[k]
             sign = -sign
-        pivot = rows[k].pop(c)      # rows[k] keeps the entries of free columns
-        if prev is None and pivot in (1, -1):
-            sign *= pivot
-            for row in rows[k + 1:]:
-                a = row.pop(c, None)
-                if a is None:
-                    continue
-                b = a if pivot == -1 else -a
-                for j, y in rows[k].items():
-                    x = row.get(j, 0) + b * y
-                    if x:
-                        row[j] = x
-                    else:
-                        del row[j]
-            continue
-        for i in range(k + 1, n):
-            a = rows[i].pop(c, None)
-            row = {j: x * pivot for j, x in rows[i].items()}
-            if a:
-                for j, y in rows[k].items():
-                    row[j] = row.get(j, 0) - a * y
-            rows[i] = {j: x if prev is None else x // prev
-                       for j, x in row.items() if x}
+        top = rows[k]
+        pivot = top.pop(c)      # top keeps the entries of free columns
+        if pivot < 0:
+            pivot, sign = -pivot, -sign
+            for j in top:
+                top[j] = -top[j]
+        for row in rows[k + 1:]:
+            a = row.pop(c, 0)
+            if not a and pivot == prev:
+                continue
+            if pivot != 1:
+                for j in row:
+                    row[j] *= pivot
+            for j, y in top.items():
+                x = row.get(j, 0) - a * y
+                if x:
+                    row[j] = x
+                else:
+                    row.pop(j, None)
+            if prev != 1:
+                for j in row:
+                    row[j] //= prev
         prev = pivot
-    return sign * next(iter(rows[n - 1].values()), 0)
+    return sign * prev
 
 
 def _fox_rows(d: Diagram, base: int) -> list[dict]:

@@ -318,13 +318,15 @@ def _records(d: Diagram):
 # operations
 
 
+def _mirror_records(d: Diagram, shift: int = 0) -> list:
+    """The records of d's mirror image, with ``shift`` added to every label."""
+    return [((a + shift, dd + shift, c + shift, b + shift), 4 - oin)
+            for (a, b, c, dd), oin in _records(d)]
+
+
 def mirror(d: Diagram) -> Diagram:
     """Mirror image: reflect the projection, negating every crossing sign."""
-    recs = []
-    for (a, b, c, dd), oin_pos in _records(d):
-        recs.append(((a, dd, c, b), 4 - oin_pos))
-    out = _assemble(recs, d.extra_components, name=f"m({d.name})" if d.name else None)
-    return out
+    return _assemble(_mirror_records(d), d.extra_components, f"m({d.name})" if d.name else None)
 
 
 def connected_sum(d1: Diagram, d2: Diagram, e1: int | None = None,

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import random
 
-from .diagram import Diagram, InvalidDiagram, _assemble, _records, _reroute_heads
+from .diagram import (Diagram, InvalidDiagram, _assemble, _mirror_records, _records,
+                      _reroute_heads)
 
 
 class SymmetricUnionError(InvalidDiagram):
@@ -65,11 +66,8 @@ def symmetric_union(d: Diagram, twists) -> Diagram:
     if d.crossings:
         shift = d.edge_count
         fresh = 2 * shift + 1
-        # keep D's labels; mirror the tuples in place (reversed rotation,
-        # over-in position reflected) so edge e corresponds to e + shift
-        recs = _records(d)
-        for (a, b, c, dd), oin in _records(d):
-            recs.append(((a + shift, dd + shift, c + shift, b + shift), 4 - oin))
+        # keep D's labels; the mirror's edge e + shift corresponds to e
+        recs = _records(d) + _mirror_records(d, shift)
         e = d.edge_count          # splice edge of D (highest label)
         e_mirror = e + shift
         L = [0] * (m + 1)

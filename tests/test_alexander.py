@@ -251,6 +251,22 @@ def test_bareiss_sign_under_any_pivot_position():
         assert _bareiss_det(sparse(shuffled)) * sign == rational_det(minor), d.name
 
 
+small_entries = st.sampled_from((0, 0, 0, 1, -1)) | st.integers(-6, 6)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda n: st.lists(
+    st.lists(small_entries, min_size=n, max_size=n), min_size=n, max_size=n)))
+@example([[3, 2, 4], [4, 3, 4], [0, 0, 3]])
+@example([[2, 1, 0], [4, 2, 1], [6, 3, 5]])
+def test_bareiss_det_of_small_matrices(m):
+    # steps the Fox minors never take: a unit pivot after one that is not,
+    # with a row that has no entry in its column (the first example), a
+    # non-unit pivot equal to the one before it, and singular matrices
+    # (the second example has a zero column once its first unit is taken)
+    assert _bareiss_det(sparse(m)) == rational_det(m)
+
+
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(st.integers(1, 30).flatmap(lambda n: st.lists(
     st.one_of(st.just(0), st.integers(-4 ** (n - 1), 4 ** (n - 1))),
