@@ -17,6 +17,8 @@ from .diagram import Diagram
 # incoming under-strand, per smoothing r: the 0-smoothing joins the regions
 # swept by rotating the over-strand counterclockwise onto the under-strand
 SMOOTHINGS = (((0, 1), (2, 3)), ((0, 3), (1, 2)))
+# the (h, q) grading shift of each smoothing, by crossing sign
+SHIFTS = {1: ((0, 1), (1, 2)), -1: ((-1, -2), (0, -1))}
 # per smoothing: slot -> (the other slot of its arc, arc index)
 _ACROSS = tuple({s: (t, i) for i, arc in enumerate(arcs) for s, t in (arc, arc[::-1])}
                 for arcs in SMOOTHINGS)

@@ -306,12 +306,9 @@ def _assemble(records, extra_components=0, name=None) -> Diagram:
                    extra_components, name)
 
 
-def _records(d: Diagram):
-    out = []
-    for ci, tup in enumerate(d.crossings):
-        pos = 3 if d.signs[ci] == 1 else 1  # over-in position encodes the sign
-        out.append((tup, pos))
-    return out
+def _records(d: Diagram) -> list:
+    """d's (tuple4, over_in_position) records: the over-in position encodes the sign."""
+    return [(tup, 3 if sign == 1 else 1) for tup, sign in zip(d.crossings, d.signs)]
 
 
 # ---------------------------------------------------------------------------
@@ -339,9 +336,9 @@ def connected_sum(d1: Diagram, d2: Diagram, e1: int | None = None,
     if d1.name and d2.name:
         name = f"{d1.name}#{d2.name}"
     if not d1.crossings:
-        return Diagram(d2.crossings, 0, name)
+        return Diagram(d2.crossings, d2.extra_components, name)
     if not d2.crossings:
-        return Diagram(d1.crossings, 0, name)
+        return Diagram(d1.crossings, d1.extra_components, name)
     if e1 is None:
         e1 = d1.edge_count
     if e2 is None:
@@ -353,25 +350,13 @@ def connected_sum(d1: Diagram, d2: Diagram, e1: int | None = None,
     for tup, oin in _records(d2):
         recs.append((tuple(e + shift for e in tup), oin))
     e2s = e2 + shift
-    _reroute_heads(recs, {e1: e2s, e2s: e1})
-    return _assemble(recs, 0, name)
+    return _assemble(_reroute_heads(recs, {e1: e2s, e2s: e1}), 0, name)
 
 
-def _head_slot(recs, edge) -> tuple[int, int]:
-    """(record index, position) where ``edge`` runs into a crossing:
-    position 0 (under-in) or the over-in position."""
-    for k, (tup, oin_pos) in enumerate(recs):
-        for pos, e in enumerate(tup):
-            if e == edge and (pos == 0 or pos == oin_pos):
-                return k, pos
-    raise AssertionError(f"no head slot for edge {edge}")
-
-
-def _reroute_heads(recs, labels: dict) -> None:
-    """Relabel each edge of ``labels`` at its head slot, in place.  Every
-    slot is found before any is rewritten, so edges may swap labels."""
-    slots = [(_head_slot(recs, e), new) for e, new in labels.items()]
-    for (k, pos), new in slots:
-        tup, oin_pos = recs[k]
-        recs[k] = (tup[:pos] + (new,) + tup[pos + 1:], oin_pos)
-
+def _reroute_heads(recs, labels: dict) -> list:
+    """The records with each edge of ``labels`` renamed at its head slot,
+    position 0 (under-in) or the over-in position.  All edges are renamed
+    at once, so two edges may swap labels."""
+    return [(tuple(labels.get(e, e) if pos in (0, oin_pos) else e
+                   for pos, e in enumerate(tup)), oin_pos)
+            for tup, oin_pos in recs]

@@ -19,14 +19,11 @@ from __future__ import annotations
 
 import time
 
-from ._tangle import default_cut, merge_matching, scan_order, walk
+from ._tangle import SHIFTS, default_cut, merge_matching, scan_order, walk
 from .algebra import LaurentPolynomial
 from .diagram import Diagram
 from .khovanov import ResourceLimit
 
-# the (0-smoothing, 1-smoothing) weights -q^e, as e, by crossing sign: the
-# bracket's A^(+-1), A = q^(-1/2), times the writhe factor -q^(+-3/2)
-_WEIGHTS = {1: (1, 2), -1: (-2, -1)}
 # (-q - q^-1)^k for the k <= 2 loops that one smoothing closes
 _LOOPS = ({0: 1}, {1: -1, -1: -1}, {2: 1, 0: 2, -2: 1})
 
@@ -49,7 +46,9 @@ def jones(d: Diagram, order: list[int] | None = None,
             raise ResourceLimit("Jones deadline exceeded")
         new_states: dict = {}
         for matching, poly in states.items():
-            for r, e in enumerate(_WEIGHTS[step.sign]):
+            # smoothing r weighs -q^e, e its q shift: the bracket's
+            # A^(+-1), A = q^(-1/2), times the writhe factor -q^(+-3/2)
+            for r, (_, e) in enumerate(SHIFTS[step.sign]):
                 nm, circles = merge_matching(matching, step, r)
                 acc = new_states.setdefault(nm, {})
                 for e2, c2 in _LOOPS[len(circles)].items():

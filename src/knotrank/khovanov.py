@@ -90,7 +90,7 @@ from fractions import Fraction
 from functools import cache
 from typing import NamedTuple
 
-from ._tangle import SMOOTHINGS, CrossingStep, default_cut, merge_matching, scan_order, walk
+from ._tangle import SHIFTS, SMOOTHINGS, CrossingStep, default_cut, merge_matching, scan_order, walk
 from .algebra import QQ, CoefficientField, LaurentPolynomial
 from .cobordism import MASK_BITS, Glue, cycles_of
 from .diagram import Diagram
@@ -156,7 +156,6 @@ class DeformedModule(NamedTuple):
 # the scan
 
 
-_SHIFTS = {1: ((0, 1), (1, 2)), -1: ((-1, -2), (0, -1))}
 _UNITS = (1, -1)    # the pivots that Gaussian elimination over Z may cancel
 _MASK = (1 << MASK_BITS) - 1    # the dot-mask bits of an entry key
 
@@ -203,6 +202,7 @@ class KnotScan:
         self.budget = 400_000 if max_generators is None else max_generators
         self.deadline = deadline
         self.finished = False
+        self.modules: dict = {}     # field char -> _module of the final complex
 
     def final_complex(self) -> KnotScan:
         if not self.finished:
@@ -226,7 +226,6 @@ class KnotScan:
         self.fused_entries = 0
         self.pivots = 0
         self.composites = 0
-        self.modules: dict = {}     # field char -> _module of the final complex
         cycles_of.cache_clear()   # keyed on matchings; keep it per-diagram
         for step in walk(self.diagram, self.order, self.cut_edge):
             self._check_deadline()
@@ -266,7 +265,7 @@ class KnotScan:
     # -- one crossing --------------------------------------------------------
 
     def _fuse(self, step: CrossingStep):
-        shifts = _SHIFTS[step.sign]
+        shifts = SHIFTS[step.sign]
         slot_kind = step.slot_kind
         old_ms = self.matchings
         old_gens = self.gens
@@ -629,7 +628,8 @@ def khovanov_ranks(d: Diagram | KnotScan, field: CoefficientField = QQ,
         d = KnotScan(d)
     if reduced and not d.diagram.is_knot:
         raise ValueError("reduced Khovanov homology requires a knot diagram")
-    table = _quotient(_module(d.final_complex(), field), 1 if reduced else 2)
+    module = d.modules.get(field.char) or _module(d.final_complex(), field)
+    table = _quotient(module, 1 if reduced else 2)
     # a crossingless diagram has no cut: its first unknot is the strand
     for _ in range(d.diagram.extra_components - (d.cut_edge is None)):
         table = _with_circle(table)
@@ -639,13 +639,8 @@ def khovanov_ranks(d: Diagram | KnotScan, field: CoefficientField = QQ,
 def khovanov_pair(d: Diagram | KnotScan,
                   field: CoefficientField = QQ) -> tuple[BigradedRanks, BigradedRanks]:
     """(reduced, unreduced) ranks of a knot from a single scan."""
-    if not isinstance(d, KnotScan):
-        d = KnotScan(d)
-    if not d.diagram.is_knot:
-        raise ValueError("khovanov_pair requires a knot diagram")
-    module = _module(d.final_complex(), field)
-    return (BigradedRanks(_quotient(module, 1), True, field),
-            BigradedRanks(_quotient(module, 2), False, field))
+    scan = d if isinstance(d, KnotScan) else KnotScan(d)
+    return khovanov_ranks(scan, field), khovanov_ranks(scan, field, reduced=False)
 
 
 # ---------------------------------------------------------------------------
@@ -667,9 +662,8 @@ def _module(scan: KnotScan, field: CoefficientField) -> tuple:
     reduction: (free, torsion), ``free`` counting the free summands by
     (h, q) and ``torsion`` holding one (k, h, q) per summand A[X]/(X^k),
     k >= 1, at its pivot's target.  An entry c * X^p maps (h, q) to
-    (h + 1, q + 2p), so the pivot's source is at (h - 1, q - 2k)."""
-    if field.char in scan.modules:
-        return scan.modules[field.char]
+    (h + 1, q + 2p), so the pivot's source is at (h - 1, q - 2k).  The
+    split is kept in ``scan.modules``, which its readers look up first."""
     gens = scan.gens
     entries = []
     for s, t, c, power in _entries(scan):
@@ -732,7 +726,7 @@ def deformed_module(d: Diagram | KnotScan, field: CoefficientField) -> DeformedM
         d = KnotScan(d)
     if not d.diagram.is_knot:
         raise ValueError("deformed module requires a knot diagram")
-    free, torsion = _module(d.final_complex(), field)
+    free, torsion = d.modules.get(field.char) or _module(d.final_complex(), field)
     rank = sum(free.values())
     if rank != 1:
         raise RuntimeError(
@@ -745,48 +739,43 @@ def deformed_module(d: Diagram | KnotScan, field: CoefficientField) -> DeformedM
 def _monomial_smith(entries, p) -> list:
     """Smith reduction over A[X] (A = F_p, or Q for p = 0) of a graded
     matrix given as (target, source, c, power) for entries c * X^power,
-    with integer c and power >= 0.
+    with integer c and power >= 0, held once as ``rows[t] = {s: (c, power)}``
+    beside ``cols[s]``, the set of targets with an entry in column s.
 
     Returns (order, target) for each pivot X^order; the number of pivots
     is the rank.
     """
-    mat: dict[tuple, tuple] = {}
     rows: dict = {}
     cols: dict = {}
     for t, s, c, power in entries:
         c = c % p if p else c
         if c:
-            mat[(t, s)] = (c, power)
-            rows.setdefault(t, set()).add(s)
+            rows.setdefault(t, {})[s] = (c, power)
             cols.setdefault(s, set()).add(t)
     # pivots come least (power, target, source) first; a position's power
-    # is fixed by the gradings, so a popped position still in ``mat`` is
+    # is fixed by the gradings, so a popped position still in ``rows`` is
     # the least one left, and each entry made is pushed when it appears
-    heap = [(power, t, s) for (t, s), (_, power) in mat.items()]
+    heap = [(power, t, s) for t, row in rows.items()
+            for s, (_, power) in row.items()]
     heapq.heapify(heap)
     pivots = []
     while heap:
         p0, t0, s0 = heapq.heappop(heap)
-        pivot = mat.get((t0, s0))
-        if pivot is None:
+        row0 = rows[t0]
+        if s0 not in row0:
             continue
-        c0 = pivot[0]
         pivots.append((p0, t0))
-        inv0 = pow(c0, -1, p) if p else Fraction(1, c0)
-        col_others = [(t, mat[(t, s0)]) for t in cols[s0] if t != t0]
-        row_others = [(s, mat[(t0, s)]) for s in rows[t0] if s != s0]
-        # remove pivot row and column
-        for t in list(cols[s0]):
-            del mat[(t, s0)]
-            rows[t].discard(s0)
-        for s in list(rows[t0]):
-            mat.pop((t0, s), None)
+        rows[t0] = {}
+        for s in row0:
             cols[s].discard(t0)
-        del rows[t0], cols[s0]
-        for t, (ct, pt) in col_others:
-            for s, (cs, ps) in row_others:
+        c0 = row0.pop(s0)[0]
+        inv0 = pow(c0, -1, p) if p else Fraction(1, c0)
+        for t in cols.pop(s0):
+            row = rows[t]
+            ct, pt = row.pop(s0)
+            for s, (cs, ps) in row0.items():
                 pnew = pt + ps - p0
-                cur = mat.get((t, s))
+                cur = row.get(s)
                 cnew = -ct * cs * inv0
                 if cur is not None:
                     assert cur[1] == pnew, "graded Smith: power mismatch"
@@ -796,13 +785,9 @@ def _monomial_smith(entries, p) -> list:
                 if cnew:
                     if cur is None:
                         heapq.heappush(heap, (pnew, t, s))
-                    mat[(t, s)] = (cnew, pnew)
-                    rows.setdefault(t, set()).add(s)
-                    cols.setdefault(s, set()).add(t)
-                else:
-                    mat.pop((t, s), None)
-                    if t in rows:
-                        rows[t].discard(s)
-                    if s in cols:
-                        cols[s].discard(t)
+                        cols[s].add(t)
+                    row[s] = (cnew, pnew)
+                elif cur is not None:
+                    del row[s]
+                    cols[s].discard(t)
     return pivots

@@ -79,7 +79,7 @@ def symmetric_union(d: Diagram, twists) -> Diagram:
             fresh += 1
             R[j - 1] = fresh
             fresh += 1
-        _reroute_heads(recs, {e_mirror: L[m], e: R[0]})
+        recs = _reroute_heads(recs, {e_mirror: L[m], e: R[0]})
     else:
         # seed is the crossingless unknot: each half is a bare arc, so the
         # channel strands tie directly into each other at both ends

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from functools import cache
 
-from knotrank._tangle import SMOOTHINGS, merge_matching
+from knotrank._tangle import SHIFTS, SMOOTHINGS, merge_matching
 from knotrank.cobordism import Glue, cycles_of
-from knotrank.khovanov import _MASK, _SHIFTS, _capdots, _Template
+from knotrank.khovanov import _MASK, _capdots, _Template
 
 
 def fuse_complex(old_ms: list, old_gens: dict, old_out: dict, next_gid: int,
@@ -24,7 +24,7 @@ def fuse_complex(old_ms: list, old_gens: dict, old_out: dict, next_gid: int,
     matching, gid -> (match id, h, q), src -> {tgt: entry}, and the next
     gid), which is left as it is: (matchings, gens, out, inc, next_gid),
     with every row and entry in the order the scan makes them."""
-    shifts = _SHIFTS[step.sign]
+    shifts = SHIFTS[step.sign]
     slot_kind = step.slot_kind
     new_slot = {v: pos for pos, (kind, v) in enumerate(slot_kind)
                 if kind == "new"}

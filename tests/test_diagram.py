@@ -129,6 +129,7 @@ def test_connected_sum(corpus):
     # unknot is the identity
     u = connected_sum(corpus["unknot"], t)
     assert jones(u) == jones(t)
+    assert connected_sum(corpus["unknot"], corpus["unknot"]).pd_text == "U"
     with pytest.raises(InvalidDiagram):
         connected_sum(corpus["hopf"], t)
 

@@ -463,7 +463,8 @@ def test_link_reading_against_split_complex(corpus):
 def test_monomial_smith_pivots_match_min_scan(corpus):
     # the heap takes the pivots in the order of a scan for the least
     # (power, target, source): on the matrices of
-    # test_monomial_smith_against_oracle and on every corpus final complex
+    # test_monomial_smith_against_oracle and on the final complexes of
+    # every corpus knot and of the first 60 pool knots
     rng = random.Random(7)
     matrices = []
     for _ in range(60):
@@ -472,11 +473,12 @@ def test_monomial_smith_pivots_match_min_scan(corpus):
         matrices.append([(t, s, rng.choice((1, -2, 3, 6, 5)), a[t] - b[s])
                          for t in range(len(a)) for s in range(len(b))
                          if a[t] >= b[s] and rng.random() < 0.6])
-    for d in corpus.values():
+    pool = parse_diagram_file(POOL_FILE.read_text())[:60]
+    for d in list(corpus.values()) + pool:
         matrices.append([(t, s, c, power) for s, t, c, power
                          in _entries(KnotScan(d).final_complex())])
     for entries in matrices:
-        for p in (2, 3, 0):
+        for p in (2, 3, 211, 0):
             assert _monomial_smith(entries, p) == \
                 split_complex_oracle.monomial_smith(entries, p)
 
