@@ -24,12 +24,13 @@ the cycles of ma u mb and of mb u mc, glued along the arcs of mb.  Both
 templates are crossing-local.  A cycle of m1 u m2 through no closing
 slot, and an arc of all three of ma, mb, mc (a strip), is an identity
 component: it only carries its dots to its out cycle, two dots making
-one power of t.  The rest is a local surface: one ``Glue`` per surface
-is built in a scan, and the glue is the table of its expansions, shared
-by component structure.  Fusing and composing read per-template tables,
-sorted by key: the packed expansion of each dot mask (for fusing, for
-every label pair of the new circles), so an entry term only adds its
-t-power and scales by its coefficient.  A stored entry is never mutated.
+one power of t.  The rest is a local surface, whose ``Glue`` is the
+table of its expansions; its inputs are small ints, so one process-wide
+table (:func:`_local`) builds each surface once for every scan.  Fusing
+and composing read per-template tables, sorted by key: the packed
+expansion of each dot mask (for fusing, for every label pair of the new
+circles), so an entry term only adds its t-power and scales by its
+coefficient.  A stored entry is never mutated.
 Entries repeat a few values, and an entry's images depend only on its
 matchings and its value, so fusing builds the images of each distinct
 (m1, m2, value) once per step, stores each distinct image once, and
@@ -86,8 +87,9 @@ from __future__ import annotations
 import heapq
 import time
 from collections import Counter
-from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
+from math import gcd
+from types import MappingProxyType
 from typing import NamedTuple
 
 from ._tangle import SHIFTS, SMOOTHINGS, CrossingStep, default_cut, merge_matching, scan_order, walk
@@ -186,9 +188,9 @@ class KnotScan:
 
     Exact work counters: ``next_gid`` generators created, ``peak_fused``
     the largest fused complex, ``fused_entries`` the entries fusing made,
-    ``pivots`` the pivots cancelled, ``composites`` the pred-succ
-    composites formed by elimination and ``glues`` the ``Glue`` objects
-    built."""
+    ``pivots`` the pivots cancelled and ``composites`` the pred-succ
+    composites formed by elimination.  The ``Glue`` objects built are the
+    misses of the process-wide :func:`_local`."""
 
     def __init__(self, d: Diagram, *, basepoint: int | None = None,
                  max_generators: int | None = None, deadline: float | None = None):
@@ -202,7 +204,7 @@ class KnotScan:
         self.budget = 400_000 if max_generators is None else max_generators
         self.deadline = deadline
         self.finished = False
-        self.modules: dict = {}     # field char -> _module of the final complex
+        self.modules: dict = {}     # field char -> read-only _module split
 
     def final_complex(self) -> KnotScan:
         if not self.finished:
@@ -219,9 +221,6 @@ class KnotScan:
         self.inc: dict[int, dict] = {0: {}}      # tgt -> {src: entry}
         self.next_gid = 1
         self.compose_cache: dict = {}   # (m_x, m_mid) -> {m_y: template}, per step
-        self.locals: dict = {}      # local surface's inputs -> Glue
-        self.expansions: dict = {}  # local surface's groups -> Glue
-        self.glues = 0
         self.peak_fused = 0
         self.fused_entries = 0
         self.pivots = 0
@@ -237,9 +236,6 @@ class KnotScan:
                 raise ResourceLimit(
                     f"{size} generators exceed the budget of {self.budget}")
             self._eliminate()
-        # the tables are the scan's own: a batch keeps no table per knot
-        self.locals.clear()
-        self.expansions.clear()
         ms = self.matchings
         self.gens = {g: (ms[m], h, q) for g, (m, h, q) in self.gens.items()}
         self.finished = True
@@ -247,20 +243,6 @@ class KnotScan:
     def _check_deadline(self):
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise ResourceLimit("scan deadline exceeded")
-
-    def _local(self, n_pieces: int, contacts: tuple, boundary: tuple,
-               nc: tuple = (0, 0)) -> Glue:
-        """The expansions of a local surface, looked up by its inputs and
-        then by its components, so the scan builds one ``Glue`` per local
-        surface and shares its expansions by structure."""
-        key = (n_pieces, contacts, boundary, nc)
-        local = self.locals.get(key)
-        if local is None:
-            glue = Glue(n_pieces, contacts, boundary, _capdots(*nc))
-            self.glues += 1
-            local = self.locals[key] = self.expansions.setdefault(
-                (glue.groups, nc), glue)
-        return local
 
     # -- one crossing --------------------------------------------------------
 
@@ -314,8 +296,7 @@ class KnotScan:
             # cycles of m1 u m2, glued at the crossing to a band per local
             # arc (r1 == r2) or to one saddle piece (r1 != r2).  A cycle
             # through no closing slot only carries its dot to its out cycle,
-            # and the rest is a local surface whose expansions the scan
-            # shares by their component structure.
+            # and the rest is a local surface, whose glue every scan shares.
             pc, _ = cycles_of(old_ms[m1], old_ms[m2])
             touched = tuple(sorted({pc[v] for v in step.closes}))
             local_of = {c: i for i, c in enumerate(touched)}
@@ -361,7 +342,7 @@ class KnotScan:
                 tab = step_tables.get(key)
                 if tab is None:
                     tab = step_tables[key] = _Template(
-                        self._local(*local), touched, carried, spread)
+                        _local(*local), touched, carried, spread)
                 tabs.append((at1, at2, tab))
             return tabs
 
@@ -497,7 +478,7 @@ class KnotScan:
                     tmpl = tmpls.get(m_y)
                     if tmpl is None:
                         tmpl = tmpls[m_y] = _compose_template(
-                            ms[m_x], ms[m_mid], ms[m_y], self._local)
+                            ms[m_x], ms[m_mid], ms[m_y], _local)
                     table, m1 = tmpl
                     # a stored entry may be shared, so it is never changed:
                     # the updated x -> y entry is a copy, stored under the old
@@ -600,15 +581,19 @@ def _compose_template(ma: tuple, mb: tuple, mc: tuple, local) -> tuple:
     return _Template(local, list(pieces), carried, spread), m1
 
 
-@cache
-def _capdots(nc_src, nc_tgt) -> tuple:
-    """(lam_src, lam_tgt, dots) per label pair, lam_src-major: a source
-    circle labelled x is a dotted cup, a target circle labelled 1 is
-    extracted by a dotted cap.  At most two circles: nine tables."""
-    return tuple((lam_src, lam_tgt,
-                  tuple(lam_src >> k & 1 for k in range(nc_src))
-                  + tuple(1 - (lam_tgt >> k & 1) for k in range(nc_tgt)))
-                 for lam_src in range(1 << nc_src) for lam_tgt in range(1 << nc_tgt))
+@lru_cache(maxsize=512)
+def _local(n_pieces: int, contacts: tuple, boundary: tuple,
+           nc: tuple = (0, 0)) -> Glue:
+    """The ``Glue`` of a local surface with ``nc`` (source, target) new
+    circles: per label pair (lam_src, lam_tgt), lam_src-major, a source
+    circle labelled x is a dotted cup and a target circle labelled 1 is
+    extracted by a dotted cap.  The inputs are small ints, so every scan of
+    a process meets the same few hundred surfaces, each built once."""
+    nc_src, nc_tgt = nc
+    return Glue(n_pieces, contacts, boundary, tuple(
+        (lam_src, lam_tgt, tuple(lam_src >> k & 1 for k in range(nc_src))
+         + tuple(1 - (lam_tgt >> k & 1) for k in range(nc_tgt)))
+        for lam_src in range(1 << nc_src) for lam_tgt in range(1 << nc_tgt)))
 
 
 # ---------------------------------------------------------------------------
@@ -663,7 +648,9 @@ def _module(scan: KnotScan, field: CoefficientField) -> tuple:
     (h, q) and ``torsion`` holding one (k, h, q) per summand A[X]/(X^k),
     k >= 1, at its pivot's target.  An entry c * X^p maps (h, q) to
     (h + 1, q + 2p), so the pivot's source is at (h - 1, q - 2k).  The
-    split is kept in ``scan.modules``, which its readers look up first."""
+    split is kept in ``scan.modules``, which its readers look up first, as
+    data no reader can change: ``free`` a read-only view, ``torsion`` a
+    tuple."""
     gens = scan.gens
     entries = []
     for s, t, c, power in _entries(scan):
@@ -679,8 +666,8 @@ def _module(scan: KnotScan, field: CoefficientField) -> tuple:
         free[h - 1, q - 2 * k] -= 1
         if k:
             torsion.append((k, h, q))
-    scan.modules[field.char] = free, torsion
-    return free, torsion
+    split = scan.modules[field.char] = MappingProxyType(free), tuple(torsion)
+    return split
 
 
 def _quotient(module: tuple, n: int) -> dict:
@@ -769,14 +756,23 @@ def _monomial_smith(entries, p) -> list:
         for s in row0:
             cols[s].discard(t0)
         c0 = row0.pop(s0)[0]
-        inv0 = pow(c0, -1, p) if p else Fraction(1, c0)
+        inv0 = pow(c0, -1, p) if p else 0
         for t in cols.pop(s0):
             row = rows[t]
             ct, pt = row.pop(s0)
+            # row t becomes scale * row t + f * row 0, over its content if
+            # scaled: over F_p scale is 1, over Q both are ints and scale > 1
+            # when c0 does not divide ct.  A nonzero multiple of a row keeps
+            # its zeros, so the pivots are those of row t - (ct / c0) * row 0
+            g = gcd(c0, ct) if c0 > 0 else -gcd(c0, ct)
+            scale, f = (1, -ct * inv0) if p else (c0 // g, -ct // g)
+            if scale != 1:
+                for s, (cs, ps) in row.items():
+                    row[s] = (scale * cs, ps)
             for s, (cs, ps) in row0.items():
                 pnew = pt + ps - p0
                 cur = row.get(s)
-                cnew = -ct * cs * inv0
+                cnew = f * cs
                 if cur is not None:
                     assert cur[1] == pnew, "graded Smith: power mismatch"
                     cnew += cur[0]
@@ -790,4 +786,7 @@ def _monomial_smith(entries, p) -> list:
                 elif cur is not None:
                     del row[s]
                     cols[s].discard(t)
+            if scale != 1 and (content := gcd(*(c for c, _ in row.values()))) > 1:
+                for s, (cs, ps) in row.items():
+                    row[s] = (cs // content, ps)
     return pivots

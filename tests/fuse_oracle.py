@@ -15,7 +15,16 @@ from functools import cache
 
 from knotrank._tangle import SHIFTS, SMOOTHINGS, merge_matching
 from knotrank.cobordism import Glue, cycles_of
-from knotrank.khovanov import _MASK, _capdots, _Template
+from knotrank.khovanov import _MASK, _Template
+
+
+def capdots(nc_src: int, nc_tgt: int) -> tuple:
+    """(lam_src, lam_tgt, dots) per label pair of ``nc_src`` source and
+    ``nc_tgt`` target circles: a source circle labelled x is a dotted cup,
+    a target circle labelled 1 is extracted by a dotted cap."""
+    return tuple((lam_src, lam_tgt, tuple(lam_src >> k & 1 for k in range(nc_src))
+                  + tuple(1 - (lam_tgt >> k & 1) for k in range(nc_tgt)))
+                 for lam_src in range(1 << nc_src) for lam_tgt in range(1 << nc_tgt))
 
 
 def fuse_complex(old_ms: list, old_gens: dict, old_out: dict, next_gid: int,
@@ -95,7 +104,7 @@ def fuse_complex(old_ms: list, old_gens: dict, old_out: dict, next_gid: int,
         for cap, i in enumerate(circles1 + circles2):
             boundary.append((band[i], ("cap", cap)))
         glue = Glue(band[1] + 1, contacts, tuple(boundary),
-                    _capdots(len(circles1), len(circles2)))
+                    capdots(len(circles1), len(circles2)))
         return _Template(glue, touched, carried, spread)
 
     def store(s, t, items):

@@ -16,6 +16,7 @@ from cube_oracle import (CubeComplex, deformed_factors, kh_table,
                          smith_over_poly_ring)
 from diagram_ops import disjoint_union, oriented_resolution
 from fuse_oracle import fuse_complex
+from knotrank import khovanov, scanner
 from knotrank._tangle import scan_order
 from knotrank.algebra import F2, F3, QQ, CoefficientField
 from knotrank.cobordism import MASK_BITS, cycles_of
@@ -407,6 +408,17 @@ def test_one_scan_serves_every_field(corpus):
     assert deformed_module(knot_scan, F3) == deformed_module(d, F3)
 
 
+def test_stored_split_is_read_only(corpus):
+    # every reader gets the one stored split of a field, so none can edit it
+    knot_scan = KnotScan(corpus["6_2"])
+    khovanov_pair(knot_scan, F3)
+    free, torsion = knot_scan.modules[F3.char]
+    with pytest.raises(TypeError):
+        free[0, 0] = 5
+    assert isinstance(torsion, tuple)
+    assert khovanov_ranks(knot_scan, F3).total == 11
+
+
 def test_monomial_smith_against_oracle():
     # random graded matrices c * X^(a_t - b_s) with integer c, power-0
     # entries included; rank and torsion orders over F3 and Q must match
@@ -689,9 +701,9 @@ def test_scan_work_counters(corpus, name):
             scan.composites) == SCAN_WORK[name]
 
 
-# Glue objects built by each pinned scan: one per local surface of the
-# scan, looked up by its inputs (one per template per step before:
-# 374, 451, 564, 1520, 740, 38, 370 and 142)
+# Glue objects built by each pinned scan from an empty table: one per
+# local surface of the scan, looked up by its inputs (one per template per
+# step before: 374, 451, 564, 1520, 740, 38, 370 and 142)
 GLUE_BUILDS = {
     "18nh_00159590": 127,
     "18nh_00752242": 136,
@@ -734,8 +746,9 @@ def test_scan_peak_memory(corpus):
 
 @pytest.mark.parametrize("name", GLUE_BUILDS)
 def test_glue_builds(corpus, name):
-    scan = KnotScan(pinned_diagram(corpus, name)).final_complex()
-    assert scan.glues == GLUE_BUILDS[name]
+    khovanov._local.cache_clear()
+    KnotScan(pinned_diagram(corpus, name)).final_complex()
+    assert khovanov._local.cache_info().misses == GLUE_BUILDS[name]
 
 
 def module_caches() -> dict:
@@ -755,23 +768,76 @@ def test_scans_keep_no_tables(corpus):
     # a census scans thousands of knots in one process: a finished scan
     # holds no template tables, and no module-level cache grows with the
     # number of knots scanned.  cycles_of is cleared when a scan starts;
-    # the caches keyed on small ints (circle, genus and dot counts) are
-    # bounded whatever is scanned.
-    bounded = {("cobordism", "open_expansion"), ("khovanov", "_capdots")}
+    # the caches keyed on small ints (genus and dot counts, and the local
+    # surfaces' pieces, contacts and boundary slots) are bounded whatever
+    # is scanned.
+    bounded = {("cobordism", "open_expansion"): 64,
+               ("khovanov", "_local"): khovanov._local.cache_info().maxsize}
     probe = corpus["6_2"]
     KnotScan(probe).final_complex()
     before = module_caches()
     for a, b in (("3_1", "6_1"), ("4_1", "6_2"), ("5_1", "5_1"), ("6_1", "4_1")):
         scan = KnotScan(connected_sum(corpus[a], mirror(corpus[b]))).final_complex()
-        assert not (scan.locals or scan.expansions or scan.compose_cache)
+        assert not scan.compose_cache
     KnotScan(probe).final_complex()
     after = module_caches()
     assert before.keys() == after.keys()
     for key, size in after.items():
         if key in bounded:
-            assert size <= 64, key
+            assert size <= bounded[key], key
         else:
             assert size == before[key], key
+
+
+def complex_digest(scan: KnotScan) -> tuple:
+    """(sha256, next_gid) of a final complex, as ``FINAL_COMPLEXES`` pins it."""
+    gens = sorted((g, m, h, q) for g, (m, h, q) in scan.gens.items())
+    entries = sorted((s, t, sorted(e.items()))
+                     for s, row in scan.out.items() for t, e in row.items())
+    digest = hashlib.sha256(repr((gens, entries, scan.next_gid)).encode())
+    return digest.hexdigest(), scan.next_gid
+
+
+@pytest.mark.parametrize("warm", (False, True))
+def test_final_complexes_from_cold_and_warm_glue_table(corpus, warm):
+    # every Glue is a pure function of its inputs, so each pinned final
+    # complex is the same whether its scan starts from an empty table or
+    # from one that the whole pool filled first
+    khovanov._local.cache_clear()
+    if warm:
+        for d in parse_diagram_file(POOL_FILE.read_text()):
+            KnotScan(d).final_complex()
+    for name, pinned in FINAL_COMPLEXES.items():
+        if not warm:
+            khovanov._local.cache_clear()
+        scan = KnotScan(pinned_diagram(corpus, name)).final_complex()
+        assert complex_digest(scan) == pinned, name
+
+
+def test_scan_records_do_not_depend_on_knot_order(corpus):
+    # the one table fills in the order the knots come: the records of the
+    # pool and the ribbon knots, scanned forward and reversed from an
+    # empty table, are the same
+    knots = (parse_diagram_file(POOL_FILE.read_text())
+             + [corpus[name] for name in RIBBON_NAMES])
+    khovanov._local.cache_clear()
+    forward = [report.record() for report in scanner.scan(knots)]
+    khovanov._local.cache_clear()
+    backward = [report.record() for report in scanner.scan(knots[::-1])]
+    assert forward == backward[::-1]
+
+
+def test_glue_table_stays_within_its_cap(corpus):
+    # the pool meets 317 distinct local surfaces and the corpus 159 more;
+    # the table keeps all 476, so none is built twice, under its cap
+    khovanov._local.cache_clear()
+    for d in parse_diagram_file(POOL_FILE.read_text()):
+        KnotScan(d).final_complex()
+    assert khovanov._local.cache_info().misses == 317
+    for d in corpus.values():
+        KnotScan(d).final_complex()
+    info = khovanov._local.cache_info()
+    assert info.misses == info.currsize == 476 <= info.maxsize
 
 
 def in_order(matchings, gens, out, inc, next_gid) -> tuple:
